@@ -52,14 +52,7 @@ def theta_relative(
     """Active vertices of g on the level-n orbit of the seed ray's prefix."""
     from .schreier import orbit
 
-    active = 0
-    for v in orbit(gens, seed.prefix(n), budget=budget):
-        s = g.initial
-        for x in v:
-            s = g.trans[s][x]
-        if s != 0:
-            active += 1
-    return active
+    return sum(1 for v in orbit(gens, seed.prefix(n), budget=budget) if g.state_at(v) != 0)
 
 
 # -- classification -----------------------------------------------------------

@@ -45,11 +45,13 @@ def vertex(v: VertexLike) -> tuple[int, ...]:
     """Coerce a vertex to a tuple of letters.
 
     Accepts int sequences and digit strings ("011" means the vertex 0,1,1).
-    Alphabets with more than ten letters need the sequence form.
+    Alphabets with more than ten letters need the sequence form.  Negative
+    letters are rejected here, letters past the alphabet by the action.
     """
-    if isinstance(v, str):
-        return tuple(int(c) for c in v)
-    return tuple(int(x) for x in v)
+    out = tuple(map(int, v))
+    if out and min(out) < 0:
+        raise ValueError("negative letter %d in vertex %r" % (min(out), v))
+    return out
 
 
 def _perm_inverse(p: tuple[int, ...]) -> tuple[int, ...]:
@@ -305,11 +307,20 @@ class Automorphism:
     def is_identity(self) -> bool:
         return self.initial == 0
 
+    def _vertex(self, v: VertexLike) -> tuple[int, ...]:
+        """vertex(v), with its letters checked against the alphabet."""
+        v = vertex(v)
+        if v and max(v) >= self.k:
+            raise ValueError(
+                "letter %d is out of range for an alphabet of size %d" % (max(v), self.k)
+            )
+        return v
+
     def apply(self, v: VertexLike) -> tuple[int, ...]:
         """The image g(v) of a vertex."""
         s = self.initial
         out = []
-        for x in vertex(v):
+        for x in self._vertex(v):
             out.append(self.perms[s][x])
             s = self.trans[s][x]
         return tuple(out)
@@ -317,12 +328,16 @@ class Automorphism:
     def __call__(self, v: VertexLike) -> tuple[int, ...]:
         return self.apply(v)
 
+    def state_at(self, v: VertexLike) -> int:
+        """The state number of the section g|_v; 0 exactly when it is trivial."""
+        s = self.initial
+        for x in self._vertex(v):
+            s = self.trans[s][x]
+        return s
+
     def section(self, v: VertexLike) -> "Automorphism":
         """The section g|_v, the automorphism induced on the subtree at v."""
-        s = self.initial
-        for x in vertex(v):
-            s = self.trans[s][x]
-        return self._with_initial(s)
+        return self._with_initial(self.state_at(v))
 
     def apply_boundary(self, w: BoundaryPoint) -> BoundaryPoint:
         """The image of an eventually periodic ray, again in canonical form.
@@ -331,6 +346,7 @@ class Automorphism:
         state_count sweeps, so the image's preperiod and period are read
         off the sweeps before and inside the first repetition.
         """
+        self._vertex(w.preperiod + w.period)
         s = self.initial
         pre_out = []
         for x in w.preperiod:
@@ -436,6 +452,19 @@ def invert(g: Automorphism) -> Automorphism:
     return g.inverse()
 
 
+def symmetric_letters(gens: Mapping[str, Automorphism]) -> list[tuple[tuple, Automorphism]]:
+    """Letters (name, sign) with their values: each generator by name, then
+    its inverse with sign -1 unless the generator is an involution."""
+    letters = []
+    for name in sorted(gens):
+        g = gens[name]
+        letters.append(((name, 1), g))
+        inv = invert(g)
+        if inv != g:
+            letters.append(((name, -1), inv))
+    return letters
+
+
 def section(g: Automorphism, v: VertexLike) -> Automorphism:
     return g.section(v)
 
@@ -478,3 +507,34 @@ def evaluate_word(gens: Mapping[str, Automorphism], word: Union[Word, str]) -> A
         g = gens[name] if sign > 0 else gens[name].inverse()
         result = compose(result, g)
     return result
+
+
+def _reduced_words(letters, max_len: int, elements: dict):
+    """Walk reduced words over `letters` in length order, up to max_len.
+
+    Words grow by one letter on the right, skipping the letter that cancels
+    the last one.  After each composition yields (word, value, known), known
+    being the word already stored for value in `elements`, or None; the
+    caller's map is seeded with the identity and then gains every new value
+    with its word, so each stored word is the first, hence a shortest, word
+    for its value.  Stops early at a length that stores nothing.
+    """
+    e = Automorphism.identity(letters[0][1].k)
+    elements[e] = Word(())
+    layer = [(Word(()), e)]
+    for _ in range(max_len):
+        nxt = []
+        for word, elem in layer:
+            for (name, sign), g in letters:
+                if word.letters[-1:] == ((name, -sign),):
+                    continue
+                value = compose(elem, g)
+                child = Word(word.letters + ((name, sign),))
+                known = elements.get(value)
+                yield child, value, known
+                if known is None:
+                    elements[value] = child
+                    nxt.append((child, value))
+        if not nxt:
+            return
+        layer = nxt

@@ -12,6 +12,11 @@ reduced relator w = u v would force the distinct half-words u and the
 formal inverse of v to evaluate equally.  Involutions break that argument
 (u and the inverse respelling of v can be the same word), so their
 presence forces the exact search.
+
+Budgets: find_relations counts compositions, one count shared by the fast
+path and the exact search, and free_subgroup_certificate counts its own
+compositions.  stabilizer_search and germ_faithfulness_probe hand their
+budget to ball, which counts distinct elements.
 """
 
 from __future__ import annotations
@@ -20,7 +25,17 @@ from dataclasses import dataclass
 from math import lcm
 from typing import Mapping, Optional, Union
 
-from .core import Automorphism, BudgetExceeded, BoundaryPoint, compose, identity, invert
+from .core import (
+    Automorphism,
+    BoundaryPoint,
+    BudgetExceeded,
+    _reduced_words,
+    compose,
+    evaluate_word,
+    identity,
+    invert,
+    symmetric_letters,
+)
 from .nucleus import ball, germ_is_trivial, stabilizes
 from .words import Word, commutator
 
@@ -33,18 +48,6 @@ def _as_word(w: WordLike) -> Word:
 
 def _display_key(letters):
     return tuple((n, 0 if s > 0 else 1) for n, s in letters)
-
-
-def _steps(gens: Mapping[str, Automorphism]):
-    """Letters of the word universe with their values, involutions once."""
-    steps = []
-    for name in sorted(gens):
-        g = gens[name]
-        steps.append(((name, 1), g))
-        inv = invert(g)
-        if inv != g:
-            steps.append(((name, -1), inv))
-    return steps
 
 
 @dataclass(frozen=True)
@@ -90,7 +93,7 @@ def find_relations(
         raise ValueError("need at least one generator")
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
-    steps = _steps(gens)
+    steps = symmetric_letters(gens)
     e = identity(next(iter(gens.values())).k)
     spent = 0
 
@@ -98,35 +101,16 @@ def find_relations(
         not g.is_identity() and not compose(g, g).is_identity() for g in gens.values()
     )
     if shortcut_ok:
-        half = (max_len + 1) // 2
-        elements: dict[Automorphism, tuple] = {e: ()}
-        layer = [((), e)]
-        injective = True
-        for _ in range(half):
-            if not injective:
+        for _, _, known in _reduced_words(steps, (max_len + 1) // 2, {}):
+            spent += 1
+            if spent > budget:
+                raise BudgetExceeded(
+                    "relation search budget exhausted during the fast path",
+                    partial=RelationReport(max_len, (), False),
+                )
+            if known is not None:
                 break
-            nxt = []
-            for letters, elem in layer:
-                for letter, gstep in steps:
-                    if letters and letters[-1] == (letter[0], -letter[1]):
-                        continue
-                    spent += 1
-                    if spent > budget:
-                        raise BudgetExceeded(
-                            "relation search budget exhausted during the fast path",
-                            partial=RelationReport(max_len, (), False),
-                        )
-                    value = compose(elem, gstep)
-                    if value in elements:
-                        injective = False
-                        break
-                    child = letters + (letter,)
-                    elements[value] = child
-                    nxt.append((child, value))
-                if not injective:
-                    break
-            layer = nxt
-        if injective:
+        else:
             return RelationReport(max_len, (), True)
 
     # exact search: depth-first over the word universe, recording trivial
@@ -194,12 +178,9 @@ class StabilizerSample:
     complete: bool
 
 
-def stabilizer_search(
-    gens: Mapping[str, Automorphism],
-    point: BoundaryPoint,
-    max_len: int,
-    budget: int = 100000,
-) -> StabilizerSample:
+def _stabilizer_elements(gens, point, max_len, budget) -> tuple[list, bool]:
+    """Nontrivial ball elements fixing the ray, length-lex by word, and
+    whether the ball closed."""
     elements, closed = ball(gens, max_len, budget)
     hits = [
         (word, elem)
@@ -207,6 +188,16 @@ def stabilizer_search(
         if not elem.is_identity() and stabilizes(elem, point)
     ]
     hits.sort(key=lambda p: (len(p[0].letters), _display_key(p[0].letters)))
+    return hits, closed
+
+
+def stabilizer_search(
+    gens: Mapping[str, Automorphism],
+    point: BoundaryPoint,
+    max_len: int,
+    budget: int = 100000,
+) -> StabilizerSample:
+    hits, closed = _stabilizer_elements(gens, point, max_len, budget)
     return StabilizerSample(
         point=point,
         max_len=max_len,
@@ -239,10 +230,8 @@ def germ_faithfulness_probe(
     max_len: int = 4,
     budget: int = 100000,
 ) -> FaithfulnessProbe:
-    sample = stabilizer_search(gens, point, max_len, budget)
-    elements, _ = ball(gens, max_len, budget)
-    by_word = {word: elem for elem, word in elements.items()}
-    elems = [by_word[w] for w in sample.words]
+    hits, _ = _stabilizer_elements(gens, point, max_len, budget)
+    elems = [elem for _, elem in hits]
 
     def comm(x: Automorphism, y: Automorphism) -> Automorphism:
         return compose(compose(x, y), compose(invert(x), invert(y)))
@@ -260,7 +249,7 @@ def germ_faithfulness_probe(
             if not c.is_identity():
                 return FaithfulnessProbe(
                     point, pairs, True,
-                    (str(sample.words[i]), str(sample.words[j])),
+                    (str(hits[i][0]), str(hits[j][0])),
                 )
     return FaithfulnessProbe(point, pairs, False)
 
@@ -333,8 +322,6 @@ def free_subgroup_certificate(
     """
     uw, vw = _as_word(u), _as_word(v)
     pair = (str(uw), str(vw))
-    from .core import evaluate_word
-
     gu = evaluate_word(gens, uw)
     gv = evaluate_word(gens, vw)
     if gu.is_identity():
@@ -342,37 +329,15 @@ def free_subgroup_certificate(
     if gv.is_identity():
         return TrichotomyEvidence("trivial_input", pair, 0, "V")
 
-    steps = []
-    for letter_name, val in (("U", gu), ("V", gv)):
-        steps.append(((letter_name, 1), val))
-        inv = invert(val)
-        if inv != val:
-            steps.append(((letter_name, -1), inv))
-
-    e = identity(gu.k)
-    elements: dict[Automorphism, Word] = {e: Word(())}
-    layer = [(Word(()), e)]
-    spent = 0
-    for _ in range(max_len):
-        nxt = []
-        for word, elem in layer:
-            for letter, gstep in steps:
-                cand = word * Word((letter,))
-                if len(cand.letters) <= len(word.letters):
-                    continue
-                spent += 1
-                if spent > budget:
-                    raise BudgetExceeded(
-                        "freeness certificate budget exhausted",
-                        partial=TrichotomyEvidence("free_up_to", pair, len(word.letters)),
-                    )
-                value = compose(elem, gstep)
-                if value in elements:
-                    relation = cand * elements[value].inverse()
-                    return TrichotomyEvidence(
-                        "relation_found", pair, max_len, str(relation)
-                    )
-                elements[value] = cand
-                nxt.append((cand, value))
-        layer = nxt
+    letters = symmetric_letters({"U": gu, "V": gv})
+    for spent, (word, _, known) in enumerate(_reduced_words(letters, max_len, {}), 1):
+        if spent > budget:
+            raise BudgetExceeded(
+                "freeness certificate budget exhausted",
+                partial=TrichotomyEvidence("free_up_to", pair, len(word) - 1),
+            )
+        if known is not None:
+            return TrichotomyEvidence(
+                "relation_found", pair, max_len, str(word * known.inverse())
+            )
     return TrichotomyEvidence("free_up_to", pair, max_len)

@@ -19,7 +19,17 @@ from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from .activity import _sccs
-from .core import Automorphism, BoundaryPoint, apply_boundary, compose, identity, invert
+from .core import (
+    Automorphism,
+    BoundaryPoint,
+    BudgetExceeded,
+    _reduced_words,
+    apply_boundary,
+    compose,
+    identity,
+    invert,
+    symmetric_letters,
+)
 from .words import Word
 
 
@@ -133,40 +143,13 @@ def ball(
     Raises BudgetExceeded (with the partial map attached) past budget
     distinct elements.
     """
-    from .core import BudgetExceeded
-
-    names = sorted(gens)
-    steps = []
-    for name in names:
-        g = gens[name]
-        steps.append((Word(((name, 1),)), g))
-        inv = invert(g)
-        if inv != g:
-            steps.append((Word(((name, -1),)), inv))
-
-    e = identity(next(iter(gens.values())).k)
-    elements: dict[Automorphism, Word] = {e: Word(())}
-    layer: list[tuple[Automorphism, Word]] = [(e, Word(()))]
-    for _ in range(max_len):
-        nxt: list[tuple[Automorphism, Word]] = []
-        for elem, word in layer:
-            for wstep, gstep in steps:
-                candidate = word * wstep
-                if len(candidate.letters) <= len(word.letters):
-                    continue  # cancellation: a shorter word already covers it
-                value = compose(elem, gstep)
-                if value not in elements:
-                    if len(elements) >= budget:
-                        raise BudgetExceeded(
-                            "ball budget of %d elements exhausted" % budget,
-                            partial=elements,
-                        )
-                    elements[value] = candidate
-                    nxt.append((value, candidate))
-        if not nxt:
-            return elements, True
-        layer = nxt
-    return elements, False
+    elements: dict[Automorphism, Word] = {}
+    for _, _, known in _reduced_words(symmetric_letters(gens), max_len, elements):
+        if known is None and len(elements) >= budget:
+            raise BudgetExceeded(
+                "ball budget of %d elements exhausted" % budget, partial=elements
+            )
+    return elements, max(map(len, elements.values())) < max_len
 
 
 # -- self-similarity -----------------------------------------------------------

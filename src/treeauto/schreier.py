@@ -25,19 +25,12 @@ from itertools import product
 from typing import Mapping
 
 from .activity import theta
-from .core import Automorphism, BudgetExceeded, apply, invert, section, vertex
+from .core import Automorphism, BudgetExceeded, apply, symmetric_letters, vertex
 
 
 def symmetrize(gens: Mapping[str, Automorphism]) -> dict[str, Automorphism]:
     """Generators plus their inverses, inverses named "a^-1"; involutions once."""
-    out: dict[str, Automorphism] = {}
-    for name in sorted(gens):
-        g = gens[name]
-        out[name] = g
-        inv = invert(g)
-        if inv != g:
-            out[name + "^-1"] = inv
-    return out
+    return {name + ("" if sign > 0 else "^-1"): g for (name, sign), g in symmetric_letters(gens)}
 
 
 def orbit(
@@ -51,9 +44,6 @@ def orbit(
     ks = {g.k for g in syms}
     if len(ks) != 1:
         raise ValueError("generators act on different alphabets")
-    k = ks.pop()
-    if any(x >= k for x in start):
-        raise ValueError("vertex letter out of range for alphabet of size %d" % k)
     seen = {start}
     queue = deque([start])
     while queue:
@@ -100,7 +90,7 @@ def schreier_graph(
         for j, name in enumerate(labels):
             g = syms[name]
             w = apply(g, u)
-            edges.append((i, j, index[w], section(g, u).is_identity()))
+            edges.append((i, j, index[w], g.state_at(u) == 0))
     return SchreierGraph(len(vertex(v)), labels, verts, tuple(edges))
 
 
@@ -141,7 +131,7 @@ def gamma_prime_components(
     uf = _UnionFind(len(verts))
     for u in verts:
         for g in syms.values():
-            if section(g, u).is_identity():
+            if g.state_at(u) == 0:
                 uf.union(index[u], index[apply(g, u)])
     groups: dict[int, list[tuple[int, ...]]] = {}
     for u in verts:
@@ -182,7 +172,7 @@ def _boundary(syms, comp_set, comp) -> int:
             w = apply(g, u)
             if w == u:
                 continue
-            if w not in comp_set or not section(g, u).is_identity():
+            if w not in comp_set or g.state_at(u) != 0:
                 count += 1
     return count
 

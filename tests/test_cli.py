@@ -170,6 +170,11 @@ def test_exit_codes():
     assert code == 1
     assert "zz" in err
 
+    for target in ("05", ":05"):
+        code, _, err = run("eval", "-f", "adding_machine", "a", target)
+        assert code == 1
+        assert err == "error: letter 5 is out of range for an alphabet of size 2\n"
+
 
 def test_output_is_deterministic():
     for args in (

@@ -30,6 +30,32 @@ def test_vertex_coercion():
     assert vertex("011") == (0, 1, 1)
     assert vertex([1, 0]) == (1, 0)
     assert vertex(()) == ()
+    with pytest.raises(ValueError, match="negative letter -1"):
+        vertex((0, -1))
+
+
+def test_bad_letters_are_rejected():
+    a = ADDING["a"]
+    with pytest.raises(ValueError):
+        apply(a, (-1,))
+    with pytest.raises(ValueError):
+        BoundaryPoint((), (-1,))
+    message = "letter 5 is out of range for an alphabet of size 2"
+    with pytest.raises(ValueError, match=message):
+        apply(a, (0, 5))
+    with pytest.raises(ValueError, match=message):
+        section(a, (1, 5))
+    with pytest.raises(ValueError, match=message):
+        a.state_at((5,))
+    with pytest.raises(ValueError, match=message):
+        apply_boundary(a, BoundaryPoint((0,), (5,)))
+
+
+def test_state_at_is_zero_exactly_at_trivial_sections():
+    # minimized machines have no nonzero state acting trivially
+    for g in (A, B, invert(A) * B):
+        for v in ("", "0", "1", "0110", "111"):
+            assert (g.state_at(v) == 0) == section(g, v).is_identity()
 
 
 # -- boundary points --------------------------------------------------------

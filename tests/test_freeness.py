@@ -3,6 +3,8 @@ import pytest
 from treeauto.catalog import entry
 from treeauto.core import BoundaryPoint, BudgetExceeded, evaluate_word, identity
 from treeauto.freeness import (
+    RelationReport,
+    TrichotomyEvidence,
     find_relations,
     free_subgroup_certificate,
     germ_faithfulness_probe,
@@ -57,6 +59,11 @@ def test_relations_budget():
         find_relations(entry("grigorchuk").generators, 4, budget=30)
     partial = info.value.partial
     assert partial.complete is False
+
+    # aleshin takes the fast path, which reports no relators when cut short
+    with pytest.raises(BudgetExceeded) as info:
+        find_relations(entry("aleshin").generators, 10, budget=20)
+    assert info.value.partial == RelationReport(10, (), False)
 
 
 def test_relations_argument_checks():
@@ -162,6 +169,14 @@ def test_free_certificate_trivial_input():
     ev = free_subgroup_certificate(gens, "b b", "c", max_len=4)
     assert ev.status == "trivial_input"
     assert ev.relation == "U"
+
+
+def test_free_certificate_budget():
+    # U, V and their inverses give 4 + 12 compositions up to length 2, so
+    # the 21st extends a word of length 2
+    with pytest.raises(BudgetExceeded) as info:
+        free_subgroup_certificate(entry("aleshin").generators, "a", "b", 6, budget=20)
+    assert info.value.partial == TrichotomyEvidence("free_up_to", ("a", "b"), 2)
 
 
 def test_free_certificate_free_pair():

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from treeauto.catalog import entry
@@ -11,6 +13,7 @@ from treeauto.nucleus import (
     nucleus,
     stabilizes,
 )
+from treeauto.words import Word
 
 
 def test_limit_states_adding_machine():
@@ -89,6 +92,23 @@ def test_ball_enumeration():
     finite, closed2 = ball({"a": entry("grigorchuk").generators["a"]}, 5)
     assert closed2
     assert len(finite) == 2
+
+
+@pytest.mark.parametrize("family, radius", [("grigorchuk", 4), ("aleshin", 3)])
+def test_ball_against_brute_force(family, radius):
+    gens = entry(family).generators
+    elements, _ = ball(gens, radius)
+    for value, word in elements.items():
+        assert evaluate_word(gens, word) == value
+    # every freely reduced word over the generators and their formal
+    # inverses, involutions included, has a stored word no longer than it
+    letters = [(name, sign) for name in sorted(gens) for sign in (1, -1)]
+    for n in range(radius + 1):
+        for w in itertools.product(letters, repeat=n):
+            if Word(w).letters != w:
+                continue
+            stored = elements[evaluate_word(gens, Word(w))]
+            assert len(stored) <= n
 
 
 def test_ball_budget():
