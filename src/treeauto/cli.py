@@ -38,13 +38,13 @@ from .core import (
 )
 from .freeness import (
     RelationReport,
+    _faithfulness_probe_in,
     find_relations,
     free_subgroup_certificate,
-    germ_faithfulness_probe,
     stabilizer_search,
 )
 from .machine_io import MachineParseError, dump_machine, parse_machine_file
-from .nucleus import germ_group, is_self_similar, nucleus
+from .nucleus import _germ_group_in, ball, germ_group, is_self_similar, nucleus
 from .schreier import FolnerReport, folner_candidate, isoperimetric_profile, schreier_graph
 
 
@@ -275,8 +275,9 @@ def _cmd_trichotomy(args) -> int:
     points = []
     for text in args.point or []:
         p = BoundaryPoint.parse(text)
-        germs = germ_group(gens, p, max_len=args.max_len, budget=args.budget)
-        probe = germ_faithfulness_probe(gens, p, max_len=args.max_len, budget=args.budget)
+        elements, _ = ball(gens, args.max_len, budget=args.budget)
+        germs = _germ_group_in(elements, p)
+        probe = _faithfulness_probe_in(elements, p, args.max_len)
         points.append(
             {
                 "point": str(p),

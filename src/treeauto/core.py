@@ -17,6 +17,13 @@ reserved identity state (trivial permutation, all transitions to itself),
 so the word problem collapses to checking `initial == 0` and equality of
 automorphisms is tuple equality.
 
+The numbering is a function of the behavior alone: a minimal machine
+numbered breadth-first from its initial state (identity state 0, initial
+state 1, then states in order of first discovery, letters taken in order)
+already is the canonical one.  compose builds its product in exactly that
+numbering, so a product that turns out minimal, the usual case, is
+returned without renumbering.
+
 Composition is right to left throughout: (compose(g, h))(v) = g(h(v)).
 """
 
@@ -159,65 +166,26 @@ class Automorphism:
 
     @staticmethod
     def _build(k: int, perms, trans, initial: int) -> "Automorphism":
-        """Canonicalize a raw machine. Row 0 must already be the identity row."""
+        """Canonicalize a raw machine. Row 0 must already be the identity row.
+
+        The states reachable from `initial` are numbered breadth-first (0
+        stays 0, initial becomes 1), the numbering _canonical works on.
+        """
         idrow = tuple(range(k))
         assert perms[0] == idrow and all(t == 0 for t in trans[0])
-
-        # states reachable from the initial state (state 0 always kept)
-        reach = [initial] if initial != 0 else []
-        seen = {0, initial}
-        i = 0
-        while i < len(reach):
-            s = reach[i]
-            i += 1
+        if initial == 0:
+            return Automorphism.identity(k)
+        number = {0: 0, initial: 1}
+        order = [initial]
+        for s in order:  # the list grows while it is walked
             for t in trans[s]:
-                if t not in seen:
-                    seen.add(t)
-                    reach.append(t)
-        states = [0] + reach
-
-        # Moore refinement: seed with root permutations, refine by successor
-        # blocks until the block count stops growing
-        table: dict = {}
-        ids = {}
-        for s in states:
-            ids[s] = table.setdefault(perms[s], len(table))
-        while True:
-            table2: dict = {}
-            new = {}
-            for s in states:
-                sig = (ids[s], tuple(ids[trans[s][x]] for x in range(k)))
-                new[s] = table2.setdefault(sig, len(table2))
-            if len(table2) == len(table):
-                ids = new
-                break
-            ids, table = new, table2
-
-        # renumber: identity block is 0, the rest breadth-first from initial
-        number = {ids[0]: 0}
-        reps = {0: 0}
-        if ids[initial] not in number:
-            number[ids[initial]] = 1
-            reps[1] = initial
-            queue = [initial]
-            while queue:
-                s = queue.pop(0)
-                for x in range(k):
-                    t = trans[s][x]
-                    if ids[t] not in number:
-                        number[ids[t]] = len(number)
-                        reps[number[ids[t]]] = t
-                        queue.append(t)
-
-        m = len(number)
-        new_perms = [idrow] * m
-        new_trans = [(0,) * k] * m
-        for c in range(1, m):
-            s = reps[c]
-            new_perms[c] = perms[s]
-            new_trans[c] = tuple(number[ids[trans[s][x]]] for x in range(k))
-        return Automorphism(
-            k, tuple(new_perms), tuple(new_trans), number[ids[initial]], _raw=True
+                if t not in number:
+                    number[t] = len(number)
+                    order.append(t)
+        return _canonical(
+            k,
+            [idrow] + [perms[s] for s in order],
+            [[0] + [number[trans[s][x]] for s in order] for x in range(k)],
         )
 
     @classmethod
@@ -422,30 +390,61 @@ def compose(g: Automorphism, h: Automorphism) -> Automorphism:
         return h
     if h.initial == 0:
         return g
-    k = g.k
-    index = {(0, 0): 0, (g.initial, h.initial): 1}
-    order = [(g.initial, h.initial)]
+    k, m = g.k, len(h.perms)
+    # the pair (p, q) is keyed p * m + q, so (0, 0) is 0; pairs are numbered
+    # in the order they are met, which is breadth-first from the initial one
+    start = g.initial * m + h.initial
+    index = {0: 0, start: 1}
+    order = [start]
     perms = [tuple(range(k))]
-    trans: list[tuple[int, ...]] = [(0,) * k]
-    i = 0
-    while i < len(order):
-        p, q = order[i]
-        i += 1
-        gperm, hperm = g.perms[p], h.perms[q]
-        perms.append(tuple(gperm[hperm[x]] for x in range(k)))
-        row = []
-        for x in range(k):
-            pair = (g.trans[p][hperm[x]], h.trans[q][x])
-            if pair == (0, 0):
-                row.append(0)
-            elif pair in index:
-                row.append(index[pair])
-            else:
-                index[pair] = len(index)
-                order.append(pair)
-                row.append(index[pair])
-        trans.append(tuple(row))
-    return Automorphism._build(k, tuple(perms), tuple(trans), 1)
+    cols: list[list[int]] = [[0] for _ in range(k)]
+    for pair in order:  # the list grows while it is walked
+        p, q = divmod(pair, m)
+        gperm, grow, hperm, hrow = g.perms[p], g.trans[p], h.perms[q], h.trans[q]
+        perms.append(tuple([gperm[y] for y in hperm]))
+        for x, col in enumerate(cols):
+            nxt = grow[hperm[x]] * m + hrow[x]
+            t = index.get(nxt)
+            if t is None:
+                t = index[nxt] = len(index)
+                order.append(nxt)
+            col.append(t)
+    return _canonical(k, perms, cols)
+
+
+def _canonical(k: int, perms: list, cols: list) -> Automorphism:
+    """The canonical form of a machine numbered as in the module docstring.
+
+    State 0 is the identity row, state 1 the initial state, cols[x][s] the
+    successor of s below letter x.  Moore refinement is seeded with the root
+    permutations.  A minimal machine is returned as it is; otherwise the
+    quotient is renumbered breadth-first from the initial block.
+    """
+    n = len(perms)
+    table: dict = {}
+    ids = [table.setdefault(p, len(table)) for p in perms]
+    while len(table) < n:
+        table2: dict = {}
+        sigs = zip(ids, *[[ids[t] for t in col] for col in cols])
+        new = [table2.setdefault(sig, len(table2)) for sig in sigs]
+        if len(table2) == len(table):
+            break
+        ids, table = new, table2
+    if len(table) == n:
+        return Automorphism(k, tuple(perms), tuple(zip(*cols)), 1, _raw=True)
+    if ids[1] == ids[0]:
+        return Automorphism.identity(k)
+    number = {ids[0]: 0, ids[1]: 1}
+    reps = [1]
+    for s in reps:  # the list grows while it is walked
+        for col in cols:
+            t = col[s]
+            if ids[t] not in number:
+                number[ids[t]] = len(number)
+                reps.append(t)
+    new_perms = (perms[0],) + tuple(perms[s] for s in reps)
+    new_trans = ((0,) * k,) + tuple(tuple(number[ids[col[s]]] for col in cols) for s in reps)
+    return Automorphism(k, new_perms, new_trans, 1, _raw=True)
 
 
 def invert(g: Automorphism) -> Automorphism:

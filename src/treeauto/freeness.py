@@ -178,17 +178,15 @@ class StabilizerSample:
     complete: bool
 
 
-def _stabilizer_elements(gens, point, max_len, budget) -> tuple[list, bool]:
-    """Nontrivial ball elements fixing the ray, length-lex by word, and
-    whether the ball closed."""
-    elements, closed = ball(gens, max_len, budget)
+def _stabilizer_elements(elements, point) -> list:
+    """The nontrivial ball elements fixing the ray, length-lex by word."""
     hits = [
         (word, elem)
         for elem, word in elements.items()
         if not elem.is_identity() and stabilizes(elem, point)
     ]
     hits.sort(key=lambda p: (len(p[0].letters), _display_key(p[0].letters)))
-    return hits, closed
+    return hits
 
 
 def stabilizer_search(
@@ -197,7 +195,8 @@ def stabilizer_search(
     max_len: int,
     budget: int = 100000,
 ) -> StabilizerSample:
-    hits, closed = _stabilizer_elements(gens, point, max_len, budget)
+    elements, closed = ball(gens, max_len, budget)
+    hits = _stabilizer_elements(elements, point)
     return StabilizerSample(
         point=point,
         max_len=max_len,
@@ -230,7 +229,12 @@ def germ_faithfulness_probe(
     max_len: int = 4,
     budget: int = 100000,
 ) -> FaithfulnessProbe:
-    hits, _ = _stabilizer_elements(gens, point, max_len, budget)
+    return _faithfulness_probe_in(ball(gens, max_len, budget)[0], point, max_len)
+
+
+def _faithfulness_probe_in(elements, point: BoundaryPoint, max_len: int) -> FaithfulnessProbe:
+    """germ_faithfulness_probe over the elements of a ball that is already enumerated."""
+    hits = _stabilizer_elements(elements, point)
     elems = [elem for _, elem in hits]
 
     def comm(x: Automorphism, y: Automorphism) -> Automorphism:

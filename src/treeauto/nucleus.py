@@ -143,6 +143,8 @@ def ball(
     Raises BudgetExceeded (with the partial map attached) past budget
     distinct elements.
     """
+    if not gens:
+        raise ValueError("need at least one generator")
     elements: dict[Automorphism, Word] = {}
     for _, _, known in _reduced_words(symmetric_letters(gens), max_len, elements):
         if known is None and len(elements) >= budget:
@@ -254,7 +256,11 @@ def germ_group(
     budget: int = 100000,
     max_order: int = 64,
 ) -> GermGroupReport:
-    elements, _ = ball(gens, max_len, budget)
+    return _germ_group_in(ball(gens, max_len, budget)[0], point, max_order)
+
+
+def _germ_group_in(elements, point: BoundaryPoint, max_order: int = 64) -> GermGroupReport:
+    """germ_group over the elements of a ball that is already enumerated."""
     stab = [(word, elem) for elem, word in elements.items() if stabilizes(elem, point)]
     stab.sort(key=lambda p: (len(p[0].letters), p[0].letters))
 
@@ -266,8 +272,7 @@ def germ_group(
                 return i
         return None
 
-    e = identity(next(iter(gens.values())).k)
-    reps.append((Word(()), e))
+    reps.append((Word(()), identity(next(iter(elements)).k)))
     for word, elem in stab:
         if class_of(elem) is None:
             reps.append((word, elem))

@@ -1,0 +1,44 @@
+"""The benchmark's frozen results, replayed inside the test suite.
+
+One seeded pass of each library workload of perfbench runs through the
+benchmark's own check: its independent oracles and the digests of
+canonical results frozen in perfbench/expected.json.  A change to any
+canonical value, the exact state numbering included, fails here and not
+only in a benchmark run.  The cli workload is left to acceptance test 10.
+"""
+
+import importlib.util
+import random
+import sys
+from pathlib import Path
+
+import pytest
+
+WORKLOADS_PY = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS_PY)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+        yield module
+    finally:
+        del sys.modules[spec.name]
+
+
+@pytest.mark.parametrize("workload", ["free_words", "contracting", "levels"])
+def test_one_seeded_pass_matches_the_frozen_results(workloads, workload):
+    expected = workloads.load_expected()
+    # the draw of pass 0 under seed 1, as perfbench/run.py makes it
+    tasks = workloads.PASSES[workload](random.Random("%s:1:0" % workload))
+    faults = []
+    for task in tasks:
+        result = task.run()
+        print_ = workloads.fingerprint(task, result) if task.frozen else None
+        error = workloads.check(task, result, print_, expected)
+        if error is not None:
+            faults.append((task.key, error))
+    assert tasks and faults == []

@@ -1,8 +1,10 @@
 import json
 import subprocess
 import sys
+from importlib import import_module
 
 from treeauto.catalog import entry
+from treeauto.cli import main
 from treeauto.core import identity
 from treeauto.machine_io import parse_machine
 
@@ -124,6 +126,25 @@ def test_trichotomy_command():
     assert len(out["folner_ratios"]) == 3
     assert out["points"][0]["germ_order"] == 4
     assert out["free_certificate"]["status"] == "relation_found"
+
+
+def test_trichotomy_builds_one_ball_per_point(monkeypatch, capsys):
+    # the package re-exports a function named nucleus, so look modules up by name
+    modules = [import_module("treeauto." + m) for m in ("nucleus", "freeness", "cli")]
+    ball = modules[0].ball
+    calls = []
+
+    def counting_ball(*args, **kwargs):
+        calls.append(args)
+        return ball(*args, **kwargs)
+
+    for module in modules:
+        if hasattr(module, "ball"):
+            monkeypatch.setattr(module, "ball", counting_ball)
+    argv = ["trichotomy", "-f", "grigorchuk", "--point", ":1", "--max-len", "3"]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["points"][0]["germ_order"] == 4
+    assert len(calls) == 1
 
 
 def test_gens_restricts_the_generating_set():

@@ -4,6 +4,7 @@ import pytest
 
 from treeauto.catalog import entry
 from treeauto.core import BoundaryPoint, BudgetExceeded, evaluate_word, identity, invert
+from treeauto.freeness import germ_faithfulness_probe, stabilizer_search
 from treeauto.nucleus import (
     ball,
     germ_group,
@@ -116,6 +117,25 @@ def test_ball_budget():
     with pytest.raises(BudgetExceeded) as info:
         ball(gens, 8, budget=50)
     assert len(info.value.partial) >= 50
+
+
+RAY = BoundaryPoint((), (0,))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: ball({}, 2),
+        lambda: is_self_similar({}),
+        lambda: germ_group({}, RAY),
+        lambda: stabilizer_search({}, RAY, 2),
+        lambda: germ_faithfulness_probe({}, RAY),
+    ],
+    ids=["ball", "is_self_similar", "germ_group", "stabilizer_search", "germ_faithfulness_probe"],
+)
+def test_ball_entry_points_reject_no_generators(call):
+    with pytest.raises(ValueError, match="need at least one generator"):
+        call()
 
 
 def test_self_similarity_verdicts():
