@@ -20,6 +20,7 @@ from fractions import Fraction
 from typing import Mapping, Optional
 
 from .core import Automorphism, BoundaryPoint, compose, invert
+from .schreier import orbit
 
 
 def theta(g: Automorphism, n: int) -> int:
@@ -50,9 +51,10 @@ def theta_relative(
     budget: int = 10 ** 6,
 ) -> int:
     """Active vertices of g on the level-n orbit of the seed ray's prefix."""
-    from .schreier import orbit
-
-    return sum(1 for v in orbit(gens, seed.prefix(n), budget=budget) if g.state_at(v) != 0)
+    verts = orbit(gens, seed.prefix(n), budget=budget)
+    if any(h.k != g.k for h in gens.values()):
+        raise ValueError("g and the generators act on different alphabets")
+    return sum(1 for v in verts if g._walk(v)[1] != 0)
 
 
 # -- classification -----------------------------------------------------------

@@ -273,9 +273,10 @@ def _cmd_trichotomy(args) -> int:
     relations = find_relations(gens, args.max_len, budget=args.budget)
     profile = isoperimetric_profile(gens, args.levels, budget=args.budget)
     points = []
+    if args.point:  # the ball does not depend on the point
+        elements, _ = ball(gens, args.max_len, budget=args.budget)
     for text in args.point or []:
         p = BoundaryPoint.parse(text)
-        elements, _ = ball(gens, args.max_len, budget=args.budget)
         germs = _germ_group_in(elements, p)
         probe = _faithfulness_probe_in(elements, p, args.max_len)
         points.append(

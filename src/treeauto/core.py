@@ -284,24 +284,25 @@ class Automorphism:
             )
         return v
 
+    def _walk(self, v: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+        """(g(v), state number of g|_v) for a vertex whose letters are checked."""
+        perms, trans, s = self.perms, self.trans, self.initial
+        out = []
+        for x in v:
+            out.append(perms[s][x])
+            s = trans[s][x]
+        return tuple(out), s
+
     def apply(self, v: VertexLike) -> tuple[int, ...]:
         """The image g(v) of a vertex."""
-        s = self.initial
-        out = []
-        for x in self._vertex(v):
-            out.append(self.perms[s][x])
-            s = self.trans[s][x]
-        return tuple(out)
+        return self._walk(self._vertex(v))[0]
 
     def __call__(self, v: VertexLike) -> tuple[int, ...]:
         return self.apply(v)
 
     def state_at(self, v: VertexLike) -> int:
         """The state number of the section g|_v; 0 exactly when it is trivial."""
-        s = self.initial
-        for x in self._vertex(v):
-            s = self.trans[s][x]
-        return s
+        return self._walk(self._vertex(v))[1]
 
     def section(self, v: VertexLike) -> "Automorphism":
         """The section g|_v, the automorphism induced on the subtree at v."""
@@ -315,27 +316,17 @@ class Automorphism:
         off the sweeps before and inside the first repetition.
         """
         self._vertex(w.preperiod + w.period)
-        s = self.initial
-        pre_out = []
+        s, out, starts = self.initial, [], {}
         for x in w.preperiod:
-            pre_out.append(self.perms[s][x])
+            out.append(self.perms[s][x])
             s = self.trans[s][x]
-        starts: dict[int, int] = {}
-        sweeps: list[tuple[int, ...]] = []
-        while s not in starts:
-            starts[s] = len(sweeps)
-            out = []
+        while s not in starts:  # starts[s]: where the sweep from state s begins in out
+            starts[s] = len(out)
             for x in w.period:
                 out.append(self.perms[s][x])
                 s = self.trans[s][x]
-            sweeps.append(tuple(out))
         i = starts[s]
-        for sweep in sweeps[:i]:
-            pre_out.extend(sweep)
-        per_out = []
-        for sweep in sweeps[i:]:
-            per_out.extend(sweep)
-        return BoundaryPoint(tuple(pre_out), tuple(per_out))
+        return BoundaryPoint(tuple(out[:i]), tuple(out[i:]))
 
     # -- group operations --------------------------------------------------
 
@@ -470,6 +461,34 @@ def section(g: Automorphism, v: VertexLike) -> Automorphism:
 
 def apply(g: Automorphism, v: VertexLike) -> tuple[int, ...]:
     return g.apply(v)
+
+
+def level_action(g: Automorphism, n: int) -> tuple[list[int], list[int]]:
+    """g on level n: images[v] is g(v), states[v] the state number of g|_v.
+
+    Vertices are base-k integers, first letter most significant.  Levels
+    are built bottom up by pi_s(x k^(m-1) + w) = perm_s(x) k^(m-1) + pi_t(w),
+    t = trans_s(x), one sweep over the states g reaches after n - m letters.
+    """
+    if n < 0:
+        raise ValueError("level must be nonnegative")
+    reach = [{g.initial}]
+    for _ in range(n):
+        reach.append({t for s in reach[-1] for t in g.trans[s]})
+    images = {s: [0] for s in reach[n]}
+    states = {s: [s] for s in reach[n]}
+    size = 1
+    for d in range(n - 1, -1, -1):
+        new_images, new_states = {}, {}
+        for s in reach[d]:
+            img, st = [], []
+            for x, t in enumerate(g.trans[s]):
+                base = g.perms[s][x] * size
+                img += [base + w for w in images[t]]
+                st += states[t]
+            new_images[s], new_states[s] = img, st
+        images, states, size = new_images, new_states, size * g.k
+    return images[g.initial], states[g.initial]
 
 
 def apply_boundary(g: Automorphism, w: BoundaryPoint) -> BoundaryPoint:

@@ -216,17 +216,12 @@ def germ_is_trivial(g: Automorphism, point: BoundaryPoint) -> bool:
     """
     if not stabilizes(g, point):
         raise ValueError("germ is only defined at a fixed ray")
-    s = g.initial
-    for x in point.preperiod:
-        s = g.trans[s][x]
-    seen = set()
-    while s not in seen:
-        if s == 0:
-            return True
+    s, seen = g._walk(point.preperiod)[1], set()
+    while s not in seen:  # the identity state 0 is a fixed point of the walk
         seen.add(s)
         for x in point.period:
             s = g.trans[s][x]
-    return s == 0
+    return 0 in seen
 
 
 @dataclass(frozen=True)

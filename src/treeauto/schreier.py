@@ -14,23 +14,37 @@ has a nontrivial section, so summing over all components stays below the
 total activity of the generators; that gives the per-level bound
 sum_s theta(s, n) / k^n, and the reported candidate always satisfies
 ratio <= bound.
+
+Whole levels come from core.level_action: the level-n vertex x_1 ... x_n
+is the integer with base-k digits x_1 ... x_n, first letter most
+significant (integer order is lex order), and a state s acts on it by
+pi_s(x k^(n-1) + w) = pi_s(x) k^(n-1) + pi_{s|x}(w), one sweep per level.
+Orbits walk vertex by vertex instead: a small orbit can sit on a deep level.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from typing import Mapping
 
-from .activity import theta
-from .core import Automorphism, BudgetExceeded, apply, symmetric_letters, vertex
+from .core import Automorphism, BudgetExceeded, level_action, symmetric_letters
 
 
 def symmetrize(gens: Mapping[str, Automorphism]) -> dict[str, Automorphism]:
     """Generators plus their inverses, inverses named "a^-1"; involutions once."""
     return {name + ("" if sign > 0 else "^-1"): g for (name, sign), g in symmetric_letters(gens)}
+
+
+def _alphabet(gens: Mapping[str, Automorphism]) -> int:
+    """The one alphabet size shared by a nonempty generator set."""
+    ks = {g.k for g in gens.values()}
+    if not ks:
+        raise ValueError("need at least one generator")
+    if len(ks) > 1:
+        raise ValueError("generators act on different alphabets")
+    return ks.pop()
 
 
 def orbit(
@@ -39,17 +53,14 @@ def orbit(
     budget: int = 10 ** 6,
 ) -> tuple[tuple[int, ...], ...]:
     """The orbit of the vertex under the group, lexicographically sorted."""
-    start = vertex(v)
+    _alphabet(gens)
     syms = list(symmetrize(gens).values())
-    ks = {g.k for g in syms}
-    if len(ks) != 1:
-        raise ValueError("generators act on different alphabets")
+    start = syms[0]._vertex(v)
     seen = {start}
-    queue = deque([start])
-    while queue:
-        u = queue.popleft()
+    queue = [start]
+    for u in queue:  # the list grows while it is walked
         for g in syms:
-            w = apply(g, u)
+            w = g._walk(u)[0]
             if w not in seen:
                 if len(seen) >= budget:
                     raise BudgetExceeded(
@@ -83,39 +94,50 @@ def schreier_graph(
 ) -> SchreierGraph:
     verts = orbit(gens, v, budget)
     syms = symmetrize(gens)
-    labels = tuple(syms)
     index = {u: i for i, u in enumerate(verts)}
     edges = []
     for i, u in enumerate(verts):
-        for j, name in enumerate(labels):
-            g = syms[name]
-            w = apply(g, u)
-            edges.append((i, j, index[w], g.state_at(u) == 0))
-    return SchreierGraph(len(vertex(v)), labels, verts, tuple(edges))
+        for j, g in enumerate(syms.values()):
+            w, s = g._walk(u)
+            edges.append((i, j, index[w], s == 0))
+    return SchreierGraph(len(verts[0]), tuple(syms), verts, tuple(edges))
 
 
-def _level_vertices(k: int, level: int, budget: int):
+def _level_vertices(k: int, level: int, budget: int) -> int:
     if k ** level > budget:
         raise BudgetExceeded(
             "level %d has %d vertices, over the budget of %d" % (level, k ** level, budget)
         )
-    return list(product(range(k), repeat=level))
+    return k ** level
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
+def _find(root: list[int], u: int) -> int:
+    while root[u] != u:
+        root[u] = root[root[u]]
+        u = root[u]
+    return u
 
-    def find(self, i: int) -> int:
-        while self.parent[i] != i:
-            self.parent[i] = self.parent[self.parent[i]]
-            i = self.parent[i]
-        return i
 
-    def union(self, i: int, j: int):
-        ri, rj = self.find(i), self.find(j)
-        if ri != rj:
-            self.parent[max(ri, rj)] = min(ri, rj)
+def _reduced_graph(gens: Mapping[str, Automorphism], level: int, budget: int):
+    """(k, the level actions of the symmetrized generators, root, components).
+
+    root[v] is the least vertex of v's reduced-graph component (union-find over
+    the trivial edges, keeping the smaller root); components are in root order.
+    """
+    k = _alphabet(gens)
+    size = _level_vertices(k, level, budget)
+    actions = [level_action(g, level) for g in symmetrize(gens).values()]
+    root = list(range(size))
+    for images, states in actions:
+        for u, w, s in zip(range(size), images, states):
+            if s == 0 and u < w:  # w -> u is the inverse's trivial edge
+                u, w = _find(root, u), _find(root, w)
+                root[max(u, w)] = min(u, w)
+    comps: dict[int, list[int]] = {}
+    for u in range(size):  # roots never exceed their vertex, so one pass flattens
+        root[u] = root[root[u]]
+        comps.setdefault(root[u], []).append(u)
+    return k, actions, root, list(comps.values())
 
 
 def gamma_prime_components(
@@ -124,19 +146,9 @@ def gamma_prime_components(
     budget: int = 10 ** 6,
 ) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """Components of the level graph restricted to trivial-section edges."""
-    syms = symmetrize(gens)
-    k = next(iter(syms.values())).k
-    verts = _level_vertices(k, level, budget)
-    index = {u: i for i, u in enumerate(verts)}
-    uf = _UnionFind(len(verts))
-    for u in verts:
-        for g in syms.values():
-            if g.state_at(u) == 0:
-                uf.union(index[u], index[apply(g, u)])
-    groups: dict[int, list[tuple[int, ...]]] = {}
-    for u in verts:
-        groups.setdefault(uf.find(index[u]), []).append(u)
-    return tuple(tuple(comp) for _, comp in sorted(groups.items()))
+    k, _, _, comps = _reduced_graph(gens, level, budget)
+    verts = list(product(range(k), repeat=level))
+    return tuple(tuple(verts[u] for u in comp) for comp in comps)
 
 
 @dataclass(frozen=True)
@@ -165,18 +177,6 @@ class FolnerReport:
     components: tuple[ComponentSummary, ...]
 
 
-def _boundary(syms, comp_set, comp) -> int:
-    count = 0
-    for u in comp:
-        for g in syms.values():
-            w = apply(g, u)
-            if w == u:
-                continue
-            if w not in comp_set or g.state_at(u) != 0:
-                count += 1
-    return count
-
-
 def folner_candidate(
     gens: Mapping[str, Automorphism],
     level: int,
@@ -184,22 +184,28 @@ def folner_candidate(
 ) -> FolnerReport:
     if level < 1:
         raise ValueError("level must be at least 1")
-    syms = symmetrize(gens)
-    k = next(iter(syms.values())).k
-    comps = gamma_prime_components(gens, level, budget)
+    k, actions, root, comps = _reduced_graph(gens, level, budget)
+    boundary = [0] * len(root)
+    for images, states in actions:
+        for u, w, s in zip(range(len(root)), images, states):
+            if w != u and (s != 0 or root[w] != root[u]):
+                boundary[root[u]] += 1
+    # the activity theta(g, level) of a generator is its count of nonzero states
+    bound = Fraction(sum(len(st) - st.count(0) for _, st in actions), k ** level)
+    del actions, images, states  # free the level arrays before the vertex tuples are made
+    verts = list(product(range(k), repeat=level))
     summaries = []
     for comp in comps:
-        b = _boundary(syms, set(comp), comp)
-        summaries.append(ComponentSummary(len(comp), b, Fraction(b, len(comp)), comp[0]))
+        b = boundary[comp[0]]
+        summaries.append(ComponentSummary(len(comp), b, Fraction(b, len(comp)), verts[comp[0]]))
     order = sorted(
         range(len(comps)),
         key=lambda i: (summaries[i].ratio, -summaries[i].size, summaries[i].least_vertex),
     )
     best = order[0]
-    bound = Fraction(sum(theta(g, level) for g in syms.values()), k ** level)
     return FolnerReport(
         level=level,
-        candidate=comps[best],
+        candidate=tuple(verts[u] for u in comps[best]),
         size=summaries[best].size,
         boundary=summaries[best].boundary,
         ratio=summaries[best].ratio,

@@ -147,6 +147,28 @@ def test_trichotomy_builds_one_ball_per_point(monkeypatch, capsys):
     assert len(calls) == 1
 
 
+def test_trichotomy_builds_one_ball_per_run(monkeypatch, capsys):
+    cli = import_module("treeauto.cli")
+    ball = cli.ball
+    calls = []
+
+    def counting_ball(*args, **kwargs):
+        calls.append(args)
+        return ball(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "ball", counting_ball)
+    argv = ["trichotomy", "-f", "grigorchuk", "--point", ":1", "--point", ":0", "--max-len", "3"]
+    assert main(argv) == 0
+    points = json.loads(capsys.readouterr().out)["points"]
+    assert [p["point"] for p in points] == [":1", ":0"]
+    assert points[0]["germ_order"] == 4
+    assert len(calls) == 1
+    # without --point no ball is needed at all
+    assert main(["trichotomy", "-f", "grigorchuk", "--max-len", "3", "--levels", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["points"] == []
+    assert len(calls) == 1
+
+
 def test_gens_restricts_the_generating_set():
     out = run_json("relations", "-f", "grigorchuk", "--gens", "a,b", "--max-len", "6")
     assert out["relators"] == ["a a", "b b"]

@@ -5,14 +5,32 @@ states, among them unreachable states, behaviorally duplicate states and
 non-zero states acting trivially) and puts them through from_states,
 compose, inverse and section.  Every result is checked by walks over its
 own tables and over the operands' tables, never by another canonical form.
+
+The level-action kernel and the level graphs built on it are checked
+against vertex-by-vertex loops over apply and state_at: on drawn machines,
+and on every catalog family.
 """
 
 import itertools
+from collections import deque
+from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treeauto.core import Automorphism, compose
+from treeauto.activity import theta
+from treeauto.catalog import builtin
+from treeauto.core import Automorphism, compose, level_action
+from treeauto.schreier import (
+    ComponentSummary,
+    FolnerReport,
+    SchreierGraph,
+    folner_candidate,
+    gamma_prime_components,
+    schreier_graph,
+    symmetrize,
+)
 
 PROPERTIES = settings(derandomize=True, max_examples=120, deadline=None, database=None)
 
@@ -126,3 +144,122 @@ def test_section(drawn):
             assert_canonical(sec)
             for v in words(g.k, 3):
                 assert sec.apply(v) == g.apply(u + v)[n:]
+
+
+# -- level actions and level graphs --------------------------------------------
+
+
+@st.composite
+def pairs(draw):
+    """Two generators on one alphabet."""
+    k = draw(st.sampled_from((2, 3)))
+    return {name: Automorphism.from_states(k, *draw(machines(k))) for name in ("a", "b")}
+
+
+def encode(v: tuple, k: int) -> int:
+    n = 0
+    for x in v:
+        n = n * k + x
+    return n
+
+
+@PROPERTIES
+@given(triples())
+def test_level_action(drawn):
+    g = compose(*drawn[1][:2])
+    for n in range(5):
+        images, states = level_action(g, n)
+        verts = words(g.k, n)
+        assert images == [encode(g.apply(v), g.k) for v in verts]
+        assert states == [g.state_at(v) for v in verts]
+
+
+def brute_orbit(gens, v) -> tuple:
+    syms = list(symmetrize(gens).values())
+    seen, queue = {v}, deque([v])
+    while queue:
+        u = queue.popleft()
+        for g in syms:
+            w = g.apply(u)
+            if w not in seen:
+                seen.add(w)
+                queue.append(w)
+    return tuple(sorted(seen))
+
+
+def brute_schreier(gens, v) -> SchreierGraph:
+    verts = brute_orbit(gens, v)
+    syms = symmetrize(gens)
+    index = {u: i for i, u in enumerate(verts)}
+    edges = tuple(
+        (i, j, index[g.apply(u)], g.state_at(u) == 0)
+        for i, u in enumerate(verts)
+        for j, g in enumerate(syms.values())
+    )
+    return SchreierGraph(len(v), tuple(syms), verts, edges)
+
+
+def brute_components(gens, level) -> tuple:
+    """Components of the trivial-section edges, vertex by vertex."""
+    syms = symmetrize(gens).values()
+    verts = words(next(iter(syms)).k, level)
+    comp = {u: {u} for u in verts}
+    for u in verts:
+        for g in syms:
+            w = g.apply(u)
+            if g.state_at(u) == 0 and comp[u] is not comp[w]:
+                merged = comp[u] | comp[w]
+                for x in merged:
+                    comp[x] = merged
+    firsts = {id(c): c for c in (comp[u] for u in verts)}
+    return tuple(sorted(tuple(sorted(c)) for c in firsts.values()))
+
+
+def brute_folner(gens, level) -> FolnerReport:
+    syms = symmetrize(gens).values()
+    k = next(iter(syms)).k
+    comps = brute_components(gens, level)
+    summaries = []
+    for comp in comps:
+        inside = set(comp)
+        b = sum(
+            1
+            for u in comp
+            for g in syms
+            if g.apply(u) != u and (g.apply(u) not in inside or g.state_at(u) != 0)
+        )
+        summaries.append(ComponentSummary(len(comp), b, Fraction(b, len(comp)), comp[0]))
+    order = sorted(
+        range(len(comps)),
+        key=lambda i: (summaries[i].ratio, -summaries[i].size, summaries[i].least_vertex),
+    )
+    best = summaries[order[0]]
+    return FolnerReport(
+        level=level,
+        candidate=comps[order[0]],
+        size=best.size,
+        boundary=best.boundary,
+        ratio=best.ratio,
+        bound=Fraction(sum(theta(g, level) for g in syms), k ** level),
+        components=tuple(summaries[i] for i in order),
+    )
+
+
+def assert_level_graphs(gens, levels):
+    k = next(iter(gens.values())).k
+    for n in levels:
+        assert gamma_prime_components(gens, n) == brute_components(gens, n)
+        assert folner_candidate(gens, n) == brute_folner(gens, n)
+        for v in ((0,) * n, tuple(x % k for x in range(1, n + 1))):
+            assert schreier_graph(gens, v) == brute_schreier(gens, v)
+
+
+@pytest.mark.parametrize("family", sorted(builtin()))
+def test_level_graphs_on_the_catalog(family):
+    assert_level_graphs(builtin()[family].generators, range(1, 7))
+
+
+@PROPERTIES
+@given(pairs())
+def test_level_graphs_on_drawn_pairs(gens):
+    assert_level_graphs(gens, range(1, 4))

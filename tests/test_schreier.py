@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from treeauto.activity import theta_relative
+from treeauto import schreier
 from treeauto.catalog import entry
 from treeauto.core import BoundaryPoint, BudgetExceeded
 from treeauto.schreier import (
@@ -119,3 +120,45 @@ def test_theta_relative_counts_active_orbit_vertices():
     assert theta_relative(gens, gens["a"], zero, 4) == 1
     # relative to the sub-family {b} the orbit of 00 stays small
     assert theta_relative({"b": gens["b"]}, gens["b"], zero, 2) <= 3
+
+
+def _no_level_sweep(g, n):
+    raise AssertionError("level_action called on level %d" % n)
+
+
+def test_orbit_on_a_deep_level_walks_only_the_orbit(monkeypatch):
+    # a sweep of level 40 would hold 2^40 vertices; the orbit has one
+    monkeypatch.setattr(schreier, "level_action", _no_level_sweep)
+    b = {"b": entry("grigorchuk").generators["b"]}
+    assert orbit(b, (1,) * 40) == ((1,) * 40,)
+
+
+def test_deep_level_is_refused_before_any_sweep(monkeypatch):
+    monkeypatch.setattr(schreier, "level_action", _no_level_sweep)
+    with pytest.raises(BudgetExceeded, match="level 40 has"):
+        folner_candidate(entry("grigorchuk").generators, 40)
+
+
+LEVEL_ENTRY_POINTS = (
+    lambda gens: orbit(gens, (0, 0)),
+    lambda gens: schreier_graph(gens, (0, 0)),
+    lambda gens: gamma_prime_components(gens, 2),
+    lambda gens: folner_candidate(gens, 2),
+    lambda gens: isoperimetric_profile(gens, 2),
+)
+
+
+@pytest.mark.parametrize(
+    "call",
+    LEVEL_ENTRY_POINTS,
+    ids=("orbit", "schreier_graph", "gamma_prime_components", "folner", "profile"),
+)
+def test_level_entry_points_reject_bad_generator_sets(call):
+    binary = entry("adding_machine").generators["a"]
+    ternary = entry("gupta_sidki_3").generators["a"]
+    with pytest.raises(ValueError, match="need at least one generator"):
+        call({})
+    # the binary generator sorting first, then second
+    for gens in ({"a": binary, "b": ternary}, {"a": ternary, "b": binary}):
+        with pytest.raises(ValueError, match="generators act on different alphabets"):
+            call(gens)
