@@ -406,13 +406,15 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except BudgetExceeded as exc:
-        print(
-            json.dumps(
-                {"error": "budget exceeded", "detail": str(exc), "partial": _partial_json(exc.partial)},
-                sort_keys=True,
-                indent=2,
-            )
-        )
+        payload = {
+            "error": "budget exceeded",
+            "detail": str(exc),
+            "partial": _partial_json(exc.partial),
+            "budget": exc.budget,
+            "spent": exc.spent,
+            "limit": exc.limit,
+        }
+        print(json.dumps(payload, sort_keys=True, indent=2))
         return 2
     except MachineParseError as exc:
         print("machine file error: %s" % exc, file=sys.stderr)

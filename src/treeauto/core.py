@@ -40,12 +40,18 @@ class BudgetExceeded(RuntimeError):
     """An enumeration outgrew its configured budget.
 
     `partial` carries whatever was computed before the budget ran out, so
-    callers can report partial results instead of nothing.
+    callers can report partial results instead of nothing.  `budget` names
+    the budget that ran out ("relations", "certificate", "ball" or
+    "vertices"), `spent` is how much of it the search had used when it
+    stopped and `limit` is the configured value.
     """
 
-    def __init__(self, message: str, partial=None):
+    def __init__(self, message: str, partial=None, budget=None, spent=None, limit=None):
         super().__init__(message)
         self.partial = partial
+        self.budget = budget
+        self.spent = spent
+        self.limit = limit
 
 
 def vertex(v: VertexLike) -> tuple[int, ...]:

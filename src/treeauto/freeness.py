@@ -13,8 +13,17 @@ formal inverse of v to evaluate equally.  Involutions break that argument
 (u and the inverse respelling of v can be the same word), so their
 presence forces the exact search.
 
-Budgets: find_relations counts compositions, one count shared by the fast
-path and the exact search, and free_subgroup_certificate counts its own
+The exact search is a depth-first walk over reduced words that shares its
+products by value: one table per call maps (prefix value, letter) to the
+product, so in a contracting group, where the words take few distinct
+values, compose runs once per value and letter instead of once per word.
+The last letter costs no product at all, since u x is trivial exactly when
+u equals x^-1.
+
+Budgets: find_relations counts words reached, one per word extension,
+table hits and last-letter tests included (this equalled its compositions
+until the exact search shared products), one count shared by the fast
+path and the exact search; free_subgroup_certificate counts its own
 compositions.  stabilizer_search and germ_faithfulness_probe hand their
 budget to ball, which counts distinct elements.
 """
@@ -84,6 +93,11 @@ class _RelatorSet:
         )
 
 
+# the exact search's product table holds at most this many machine states,
+# keys included (about 40 MB); products that do not fit are recomputed
+_PRODUCT_TABLE_STATES = 1 << 18
+
+
 def find_relations(
     gens: Mapping[str, Automorphism],
     max_len: int,
@@ -107,6 +121,7 @@ def find_relations(
                 raise BudgetExceeded(
                     "relation search budget exhausted during the fast path",
                     partial=RelationReport(max_len, (), False),
+                    budget="relations", spent=spent, limit=budget,
                 )
             if known is not None:
                 break
@@ -114,10 +129,27 @@ def find_relations(
             return RelationReport(max_len, (), True)
 
     # exact search: depth-first over the word universe, recording trivial
-    # words and pruning their extensions (those factor through the prefix)
+    # words and pruning their extensions (those factor through the prefix);
+    # products come from one table per call, and the last letter takes none
     found = _RelatorSet()
-    prefix_values: list[Automorphism] = [e]
     step_by_letter = dict(steps)
+    # an involution has no inverse letter; it is its own inverse
+    inverse_of = {
+        letter: step_by_letter.get((letter[0], -letter[1]), g) for letter, g in steps
+    }
+    products: dict[tuple, Automorphism] = {}
+    room = _PRODUCT_TABLE_STATES
+
+    def times(elem: Automorphism, letter: tuple) -> Automorphism:
+        nonlocal room
+        value = products.get((elem, letter))
+        if value is None:
+            value = compose(elem, step_by_letter[letter])
+            size = len(elem.perms) + len(value.perms)
+            if size <= room:
+                room -= size
+                products[elem, letter] = value
+        return value
 
     def record(letters: tuple):
         if not Word(letters).is_cyclically_reduced():
@@ -128,20 +160,20 @@ def find_relations(
             rot = letters[r:] + letters[:r]
             elem = e
             for i in range(len(rot) - 1):
-                elem = compose(elem, step_by_letter[rot[i]])
+                elem = times(elem, rot[i])
                 if elem.is_identity():
                     return
         found.add(letters)
 
-    def dfs(letters: tuple, depth: int):
+    def dfs(letters: tuple, elem: Automorphism, depth: int):
         nonlocal spent
-        elem = prefix_values[-1]
         if elem.is_identity() and letters:
             record(letters)
             return
         if depth == max_len:
             return
-        for letter, gstep in steps:
+        last = depth == max_len - 1
+        for letter, _ in steps:
             if letters and letters[-1] == (letter[0], -letter[1]):
                 continue
             spent += 1
@@ -149,12 +181,15 @@ def find_relations(
                 raise BudgetExceeded(
                     "relation search budget exhausted",
                     partial=RelationReport(max_len, found.sorted(), False),
+                    budget="relations", spent=spent, limit=budget,
                 )
-            prefix_values.append(compose(elem, gstep))
-            dfs(letters + (letter,), depth + 1)
-            prefix_values.pop()
+            if last:
+                if elem == inverse_of[letter]:
+                    record(letters + (letter,))
+            else:
+                dfs(letters + (letter,), times(elem, letter), depth + 1)
 
-    dfs((), 0)
+    dfs((), e, 0)
     return RelationReport(max_len, found.sorted(), True)
 
 
@@ -324,6 +359,8 @@ def free_subgroup_certificate(
     relation, and a clean sweep certifies the pair generates a free group
     at least to that pattern length.
     """
+    if max_len < 0:
+        raise ValueError("max_len must be nonnegative")
     uw, vw = _as_word(u), _as_word(v)
     pair = (str(uw), str(vw))
     gu = evaluate_word(gens, uw)
@@ -339,6 +376,7 @@ def free_subgroup_certificate(
             raise BudgetExceeded(
                 "freeness certificate budget exhausted",
                 partial=TrichotomyEvidence("free_up_to", pair, len(word) - 1),
+                budget="certificate", spent=spent, limit=budget,
             )
         if known is not None:
             return TrichotomyEvidence(

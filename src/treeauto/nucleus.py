@@ -145,11 +145,14 @@ def ball(
     """
     if not gens:
         raise ValueError("need at least one generator")
+    if max_len < 0:
+        raise ValueError("max_len must be nonnegative")
     elements: dict[Automorphism, Word] = {}
     for _, _, known in _reduced_words(symmetric_letters(gens), max_len, elements):
         if known is None and len(elements) >= budget:
             raise BudgetExceeded(
-                "ball budget of %d elements exhausted" % budget, partial=elements
+                "ball budget of %d elements exhausted" % budget,
+                partial=elements, budget="ball", spent=len(elements) + 1, limit=budget,
             )
     return elements, max(map(len, elements.values())) < max_len
 

@@ -66,6 +66,7 @@ def orbit(
                     raise BudgetExceeded(
                         "orbit budget of %d vertices exhausted" % budget,
                         partial=tuple(sorted(seen)),
+                        budget="vertices", spent=len(seen) + 1, limit=budget,
                     )
                 seen.add(w)
                 queue.append(w)
@@ -106,7 +107,8 @@ def schreier_graph(
 def _level_vertices(k: int, level: int, budget: int) -> int:
     if k ** level > budget:
         raise BudgetExceeded(
-            "level %d has %d vertices, over the budget of %d" % (level, k ** level, budget)
+            "level %d has %d vertices, over the budget of %d" % (level, k ** level, budget),
+            budget="vertices", spent=k ** level, limit=budget,
         )
     return k ** level
 

@@ -118,6 +118,12 @@ def test_stabilizer_command():
     assert out["germ_trivial"] == [False, False, False, False]
 
 
+def test_negative_max_len_is_an_input_error():
+    code, out, err = run("stabilizer", "-f", "grigorchuk", "--point", ":1", "--max-len", "-1")
+    assert (code, out) == (1, "")
+    assert "max_len must be nonnegative" in err
+
+
 def test_trichotomy_command():
     out = run_json(
         "trichotomy", "-f", "grigorchuk", "--point", ":1", "--max-len", "2", "--levels", "3"

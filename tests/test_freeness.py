@@ -185,3 +185,10 @@ def test_free_certificate_free_pair():
     assert ev.status == "free_up_to"
     assert ev.checked_len == 6
     assert ev.relation is None
+
+
+def test_free_certificate_rejects_negative_max_len():
+    gens = entry("aleshin").generators
+    with pytest.raises(ValueError, match="max_len must be nonnegative"):
+        free_subgroup_certificate(gens, "a", "b", -1)
+    assert free_subgroup_certificate(gens, "a", "b", 0) == TrichotomyEvidence("free_up_to", ("a", "b"), 0)

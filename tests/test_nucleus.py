@@ -138,6 +138,28 @@ def test_ball_entry_points_reject_no_generators(call):
         call()
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda gens: ball(gens, -1),
+        lambda gens: is_self_similar(gens, max_len=-1),
+        lambda gens: stabilizer_search(gens, RAY, -1),
+        lambda gens: germ_group(gens, RAY, -1),
+    ],
+    ids=["ball", "is_self_similar", "stabilizer_search", "germ_group"],
+)
+def test_ball_entry_points_reject_negative_max_len(call):
+    with pytest.raises(ValueError, match="max_len must be nonnegative"):
+        call(entry("grigorchuk").generators)
+
+
+def test_ball_of_radius_zero_holds_the_identity():
+    gens = entry("grigorchuk").generators
+    elements, closed = ball(gens, 0)
+    assert list(elements.values()) == [Word(())]
+    assert closed is False
+
+
 def test_self_similarity_verdicts():
     grig = entry("grigorchuk").generators
     rep = is_self_similar(grig, max_len=2)
