@@ -29,6 +29,7 @@ Composition is right to left throughout: (compose(g, h))(v) = g(h(v)).
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .words import Word
@@ -448,9 +449,23 @@ def invert(g: Automorphism) -> Automorphism:
     return g.inverse()
 
 
+def _alphabet(gens: Mapping[str, Automorphism]) -> int:
+    """The one alphabet size shared by a nonempty generator set."""
+    ks = {g.k for g in gens.values()}
+    if not ks:
+        raise ValueError("need at least one generator")
+    if len(ks) > 1:
+        raise ValueError("generators act on different alphabets")
+    return ks.pop()
+
+
 def symmetric_letters(gens: Mapping[str, Automorphism]) -> list[tuple[tuple, Automorphism]]:
     """Letters (name, sign) with their values: each generator by name, then
-    its inverse with sign -1 unless the generator is an involution."""
+    its inverse with sign -1 unless the generator is an involution.
+
+    The generators must be nonempty and share one alphabet.
+    """
+    _alphabet(gens)
     letters = []
     for name in sorted(gens):
         g = gens[name]
@@ -519,12 +534,7 @@ def evaluate_word(gens: Mapping[str, Automorphism], word: Union[Word, str]) -> A
     """
     if isinstance(word, str):
         word = Word.parse(word)
-    ks = {g.k for g in gens.values()}
-    if len(ks) > 1:
-        raise ValueError("generators live on different alphabets: %s" % sorted(ks))
-    if not gens:
-        raise ValueError("no generators")
-    result = Automorphism.identity(ks.pop())
+    result = Automorphism.identity(_alphabet(gens))
     for name, sign in word:
         if name not in gens:
             raise ValueError("unknown generator %r" % name)
@@ -559,6 +569,97 @@ def _reduced_words(letters, max_len: int, elements: dict):
                 if known is None:
                     elements[value] = child
                     nxt.append((child, value))
+        if not nxt:
+            return
+        layer = nxt
+
+
+# the keyed walk uses levels of at most this many vertices, and holds at most
+# this many key entries per layer (about 16 MB) before the exact walk takes over
+_KEY_POINTS = 1 << 10
+_KEY_ENTRIES = 1 << 21
+
+# a keyed walk that cannot go on yields one of these last
+_RAISE, _EXACT = "raise the level", "hand over to the exact walk"
+
+
+def _distinct_words(letters, max_len: int):
+    """(word, known) in the order of _reduced_words(letters, max_len, {}),
+    computing no values.
+
+    A word is told apart from the stored ones by its key, its action on
+    level L: distinct keys prove distinct elements, and a repeated key is
+    checked by composing both words.  L starts at 2 max_len, since two
+    words of length <= max_len differ by one of length <= 2 max_len, and
+    levels over _KEY_POINTS vertices are skipped.  A repeated key with
+    distinct values restarts the walk at L + 2, a second one or a full
+    layer hands it to _reduced_words; either way the items already yielded
+    are skipped, so the sequence never depends on the keys.
+    """
+    k = letters[0][1].k
+    done = 0
+    for level in (2 * max_len, 2 * max_len + 2):
+        if k ** level > _KEY_POINTS:
+            continue
+        for n, item in enumerate(_keyed_words(letters, max_len, level)):
+            if item is _RAISE or item is _EXACT:
+                break
+            if n >= done:
+                done += 1
+                yield item
+        else:
+            return
+        if item is _EXACT:
+            break
+    for n, (word, _, known) in enumerate(_reduced_words(letters, max_len, {})):
+        if n >= done:
+            yield word, known
+
+
+def _keyed_words(letters, max_len: int, level: int):
+    """The walk of _reduced_words on level-`level` keys, for _distinct_words.
+
+    A child's key is its prefix's permutation after the letter's, one
+    gather.  The seen-map holds hash(key) only, which is sound because
+    every hit is checked exactly, and whole keys are kept for the layer
+    being extended alone.
+    """
+    value_of = dict(letters)
+    e = Automorphism.identity(letters[0][1].k)
+
+    def value(word: Word) -> Automorphism:
+        elem = e
+        for letter in word.letters:
+            elem = compose(elem, value_of[letter])
+        return elem
+
+    steps = [(letter, itemgetter(*level_action(g, level)[0])) for letter, g in letters]
+    start = tuple(range(e.k ** level))
+    room = _KEY_ENTRIES // len(start)
+    seen = {hash(start): Word(())}
+    layer = [(Word(()), start)]
+    for depth in range(max_len):
+        last = depth == max_len - 1
+        nxt = []
+        for word, key in layer:
+            for (name, sign), gather in steps:
+                if word.letters[-1:] == ((name, -sign),):
+                    continue
+                child = Word(word.letters + ((name, sign),))
+                child_key = gather(key)
+                h = hash(child_key)
+                known = seen.get(h)
+                if known is not None and value(child) != value(known):
+                    yield _RAISE
+                    return
+                yield child, known
+                if known is None:
+                    seen[h] = child
+                    if not last:
+                        if len(nxt) == room:
+                            yield _EXACT
+                            return
+                        nxt.append((child, child_key))
         if not nxt:
             return
         layer = nxt

@@ -13,6 +13,14 @@ formal inverse of v to evaluate equally.  Involutions break that argument
 (u and the inverse respelling of v can be the same word), so their
 presence forces the exact search.
 
+The fast path and free_subgroup_certificate only ask whether two words
+collide, so they walk core._distinct_words: words are told apart by their
+action on a level of the tree, a homomorphism to a finite symmetric group,
+so distinct level actions prove distinct elements.  A repeated level
+action is checked by composing both words, so a collision is reported
+only when the values are equal, and the walk reports the same words, in
+the same order, as one that composed once per word.
+
 The exact search is a depth-first walk over reduced words that shares its
 products by value: one table per call maps (prefix value, letter) to the
 product, so in a contracting group, where the words take few distinct
@@ -21,11 +29,12 @@ The last letter costs no product at all, since u x is trivial exactly when
 u equals x^-1.
 
 Budgets: find_relations counts words reached, one per word extension,
-table hits and last-letter tests included (this equalled its compositions
-until the exact search shared products), one count shared by the fast
-path and the exact search; free_subgroup_certificate counts its own
-compositions.  stabilizer_search and germ_faithfulness_probe hand their
-budget to ball, which counts distinct elements.
+table hits and last-letter tests included, one count shared by the fast
+path and the exact search; free_subgroup_certificate counts words reached
+as well.  Both counts equalled the compositions of a search that composed
+once per word, and neither changed when the searches stopped doing so.
+stabilizer_search and germ_faithfulness_probe hand their budget to ball,
+which counts distinct elements.
 """
 
 from __future__ import annotations
@@ -38,7 +47,7 @@ from .core import (
     Automorphism,
     BoundaryPoint,
     BudgetExceeded,
-    _reduced_words,
+    _distinct_words,
     compose,
     evaluate_word,
     identity,
@@ -103,11 +112,9 @@ def find_relations(
     max_len: int,
     budget: int = 200000,
 ) -> RelationReport:
-    if not gens:
-        raise ValueError("need at least one generator")
+    steps = symmetric_letters(gens)
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
-    steps = symmetric_letters(gens)
     e = identity(next(iter(gens.values())).k)
     spent = 0
 
@@ -115,7 +122,7 @@ def find_relations(
         not g.is_identity() and not compose(g, g).is_identity() for g in gens.values()
     )
     if shortcut_ok:
-        for _, _, known in _reduced_words(steps, (max_len + 1) // 2, {}):
+        for _, known in _distinct_words(steps, (max_len + 1) // 2):
             spent += 1
             if spent > budget:
                 raise BudgetExceeded(
@@ -354,10 +361,10 @@ def free_subgroup_certificate(
 ) -> TrichotomyEvidence:
     """Search for relations between two elements, as evidence of freeness.
 
-    Evaluates all reduced patterns in the pair (as letters U, V) up to
-    max_len, deduplicating by value; a collision or a trivial value is a
-    relation, and a clean sweep certifies the pair generates a free group
-    at least to that pattern length.
+    Walks all reduced patterns in the pair (as letters U, V) up to
+    max_len, telling them apart by value; a collision or a trivial value
+    is a relation, and a clean sweep certifies the pair generates a free
+    group at least to that pattern length.
     """
     if max_len < 0:
         raise ValueError("max_len must be nonnegative")
@@ -371,7 +378,7 @@ def free_subgroup_certificate(
         return TrichotomyEvidence("trivial_input", pair, 0, "V")
 
     letters = symmetric_letters({"U": gu, "V": gv})
-    for spent, (word, _, known) in enumerate(_reduced_words(letters, max_len, {}), 1):
+    for spent, (word, known) in enumerate(_distinct_words(letters, max_len), 1):
         if spent > budget:
             raise BudgetExceeded(
                 "freeness certificate budget exhausted",

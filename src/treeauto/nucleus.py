@@ -143,12 +143,11 @@ def ball(
     Raises BudgetExceeded (with the partial map attached) past budget
     distinct elements.
     """
-    if not gens:
-        raise ValueError("need at least one generator")
+    letters = symmetric_letters(gens)
     if max_len < 0:
         raise ValueError("max_len must be nonnegative")
     elements: dict[Automorphism, Word] = {}
-    for _, _, known in _reduced_words(symmetric_letters(gens), max_len, elements):
+    for _, _, known in _reduced_words(letters, max_len, elements):
         if known is None and len(elements) >= budget:
             raise BudgetExceeded(
                 "ball budget of %d elements exhausted" % budget,

@@ -37,23 +37,12 @@ def symmetrize(gens: Mapping[str, Automorphism]) -> dict[str, Automorphism]:
     return {name + ("" if sign > 0 else "^-1"): g for (name, sign), g in symmetric_letters(gens)}
 
 
-def _alphabet(gens: Mapping[str, Automorphism]) -> int:
-    """The one alphabet size shared by a nonempty generator set."""
-    ks = {g.k for g in gens.values()}
-    if not ks:
-        raise ValueError("need at least one generator")
-    if len(ks) > 1:
-        raise ValueError("generators act on different alphabets")
-    return ks.pop()
-
-
 def orbit(
     gens: Mapping[str, Automorphism],
     v,
     budget: int = 10 ** 6,
 ) -> tuple[tuple[int, ...], ...]:
     """The orbit of the vertex under the group, lexicographically sorted."""
-    _alphabet(gens)
     syms = list(symmetrize(gens).values())
     start = syms[0]._vertex(v)
     seen = {start}
@@ -126,9 +115,10 @@ def _reduced_graph(gens: Mapping[str, Automorphism], level: int, budget: int):
     root[v] is the least vertex of v's reduced-graph component (union-find over
     the trivial edges, keeping the smaller root); components are in root order.
     """
-    k = _alphabet(gens)
+    syms = list(symmetrize(gens).values())
+    k = syms[0].k
     size = _level_vertices(k, level, budget)
-    actions = [level_action(g, level) for g in symmetrize(gens).values()]
+    actions = [level_action(g, level) for g in syms]
     root = list(range(size))
     for images, states in actions:
         for u, w, s in zip(range(size), images, states):

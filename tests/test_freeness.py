@@ -1,5 +1,6 @@
 import pytest
 
+from treeauto import core, freeness
 from treeauto.catalog import entry
 from treeauto.core import BoundaryPoint, BudgetExceeded, evaluate_word, identity
 from treeauto.freeness import (
@@ -12,6 +13,7 @@ from treeauto.freeness import (
     kernel_witness_power,
     stabilizer_search,
 )
+from treeauto.nucleus import ball
 from treeauto.words import Word
 
 
@@ -192,3 +194,48 @@ def test_free_certificate_rejects_negative_max_len():
     with pytest.raises(ValueError, match="max_len must be nonnegative"):
         free_subgroup_certificate(gens, "a", "b", -1)
     assert free_subgroup_certificate(gens, "a", "b", 0) == TrichotomyEvidence("free_up_to", ("a", "b"), 0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda gens: find_relations(gens, 4),
+        lambda gens: ball(gens, 2),
+        lambda gens: free_subgroup_certificate(gens, "a", "b", 3),
+    ],
+    ids=["find_relations", "ball", "free_subgroup_certificate"],
+)
+def test_word_walks_reject_mixed_alphabets(call):
+    binary, ternary = entry("aleshin").generators, entry("gupta_sidki_3").generators
+    # the binary generator sorting first, then second
+    for gens in ({"a": binary["a"], "b": ternary["t"]}, {"a": ternary["a"], "b": binary["b"]}):
+        with pytest.raises(ValueError, match="generators act on different alphabets"):
+            call(gens)
+
+
+@pytest.fixture
+def compose_calls(monkeypatch):
+    """The list that every core.compose call appends to, from any module."""
+    compose = core.compose
+    calls = []
+
+    def counting_compose(g, h):
+        calls.append(None)
+        return compose(g, h)
+
+    monkeypatch.setattr(core, "compose", counting_compose)
+    monkeypatch.setattr(freeness, "compose", counting_compose)
+    return calls
+
+
+def test_relation_fast_path_tells_words_apart_without_products(compose_calls):
+    assert find_relations(entry("aleshin").generators, 8) == RelationReport(8, (), True)
+    # composing once per word took 939 products here
+    assert len(compose_calls) <= 10
+
+
+def test_free_pair_certificate_tells_words_apart_without_products(compose_calls):
+    evidence = free_subgroup_certificate(entry("aleshin").generators, "a", "b", 4)
+    assert evidence == TrichotomyEvidence("free_up_to", ("a", "b"), 4)
+    # composing once per word took 162 products here
+    assert len(compose_calls) <= 10

@@ -9,19 +9,40 @@ own tables and over the operands' tables, never by another canonical form.
 The level-action kernel and the level graphs built on it are checked
 against vertex-by-vertex loops over apply and state_at: on drawn machines,
 and on every catalog family.
+
+The keyed word walk (core._distinct_words) must give the exact walk's
+sequence word for word, as built and forced onto each of its fallbacks,
+and the two searches on it must give the reports frozen from the exact walk.
 """
 
 import itertools
-from collections import deque
+from collections import Counter, deque
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from treeauto import core
 from treeauto.activity import theta
-from treeauto.catalog import builtin
-from treeauto.core import Automorphism, compose, level_action
+from treeauto.catalog import builtin, entry
+from treeauto.core import (
+    Automorphism,
+    BudgetExceeded,
+    _distinct_words,
+    _reduced_words,
+    compose,
+    identity,
+    level_action,
+    symmetric_letters,
+)
+from treeauto.freeness import (
+    RelationReport,
+    TrichotomyEvidence,
+    find_relations,
+    free_subgroup_certificate,
+)
 from treeauto.schreier import (
     ComponentSummary,
     FolnerReport,
@@ -31,6 +52,7 @@ from treeauto.schreier import (
     schreier_graph,
     symmetrize,
 )
+from treeauto.words import Word
 
 PROPERTIES = settings(derandomize=True, max_examples=120, deadline=None, database=None)
 
@@ -263,3 +285,175 @@ def test_level_graphs_on_the_catalog(family):
 @given(pairs())
 def test_level_graphs_on_drawn_pairs(gens):
     assert_level_graphs(gens, range(1, 4))
+
+
+# -- the keyed word walk -------------------------------------------------------
+
+WALK_VARIANTS = ("as_built", "low_levels", "small_layers", "no_level_fits")
+
+
+@contextmanager
+def keyed_walks(variant: str):
+    """Run _distinct_words as built or forced onto its fallbacks.
+
+    low_levels keys on levels 1 and 3 instead of 2 r and 2 r + 2, so false
+    keys are common and the walk restarts and then hands over; small_layers
+    caps a layer's keys low enough to hand over mid-walk; no_level_fits
+    leaves no level under the cap.  Yields a Counter of keyed walks started,
+    of how they gave up and of exact walks run.
+    """
+    keyed, exact = core._keyed_words, core._reduced_words
+    seen = Counter()
+
+    def recorded_keyed(letters, max_len, level):
+        seen["keyed"] += 1
+        if variant == "low_levels":
+            level -= 2 * max_len - 1
+        for item in keyed(letters, max_len, level):
+            if item is core._RAISE or item is core._EXACT:
+                seen[item] += 1
+            yield item
+
+    def recorded_exact(*args):
+        seen["exact"] += 1
+        return exact(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(core, "_keyed_words", recorded_keyed)
+        patch.setattr(core, "_reduced_words", recorded_exact)
+        if variant == "small_layers":
+            patch.setattr(core, "_KEY_ENTRIES", 1 << 14)
+        if variant == "no_level_fits":
+            patch.setattr(core, "_KEY_POINTS", 0)
+        yield seen
+
+
+def assert_fallbacks_ran(variant: str, seen: Counter):
+    if variant == "low_levels":
+        assert seen[core._RAISE] > 0 and seen["exact"] > 0, seen
+    if variant == "small_layers":
+        assert seen[core._EXACT] > 0 and seen["exact"] > 0, seen
+    if variant == "no_level_fits":
+        assert seen["keyed"] == 0 and seen["exact"] > 0, seen
+
+
+# t -> 3 t on the 2-adic integers, least significant digit first, its states
+# carrying 0, 1 and 2; with the adding machine t -> t + 1 it generates
+# BS(1, 3), where y a y^-1 = a a a but y^-1 a y != a a a, so keys composed in
+# the wrong order would miss that collision
+TIMES_THREE = Automorphism.from_states(
+    2, {"c0": ((0, 1), ("c0", "c1")), "c1": ((1, 0), ("c0", "c2")), "c2": ((0, 1), ("c1", "c2"))}, "c0"
+)
+WALK_FAMILIES = {name: family.generators for name, family in builtin().items()}
+WALK_FAMILIES["bs_1_3"] = {"a": entry("adding_machine").generators["a"], "y": TIMES_THREE}
+
+
+def exact_sequence(letters, max_len: int) -> list:
+    return [(word, known) for word, _, known in _reduced_words(letters, max_len, {})]
+
+
+@pytest.mark.parametrize("variant", WALK_VARIANTS)
+@pytest.mark.parametrize("family", sorted(WALK_FAMILIES))
+def test_distinct_words_on_the_catalog(family, variant):
+    letters = symmetric_letters(WALK_FAMILIES[family])
+    expected = [exact_sequence(letters, r) for r in range(4 if family == "gupta_sidki_3" else 5)]
+    with keyed_walks(variant) as seen:
+        for r, sequence in enumerate(expected):
+            assert list(_distinct_words(letters, r)) == sequence, r
+    if family == "aleshin":
+        assert_fallbacks_ran(variant, seen)
+
+
+@st.composite
+def letter_sets(draw):
+    """Symmetrized letters of one or two drawn generators on one alphabet,
+    joined at times by an involution with a nontrivial section, by a trivial
+    generator, or by both."""
+    k = draw(st.sampled_from((2, 3)))
+    gens = {
+        name: Automorphism.from_states(k, *draw(machines(k)))
+        for name in draw(st.sampled_from(("a", "ab")))
+    }
+    extra = draw(st.sets(st.sampled_from(("involution", "trivial"))))
+    if "involution" in extra:  # t = (s, t, e, ...) with s swapping 0 and 1; t t = (s s, t t, ...) = e
+        swap = (1, 0) + tuple(range(2, k))
+        states = {"s": (swap, ["e"] * k), "t": (range(k), ["s", "t"] + ["e"] * (k - 2))}
+        gens["t"] = Automorphism.from_states(k, states, "t")
+    if "trivial" in extra:
+        gens["z"] = identity(k)
+    return symmetric_letters(gens)
+
+
+@PROPERTIES
+@given(letter_sets(), st.integers(0, 3))
+def test_distinct_words_on_drawn_letter_sets(letters, max_len):
+    expected = exact_sequence(letters, max_len)
+    for variant in WALK_VARIANTS:
+        with keyed_walks(variant):
+            assert list(_distinct_words(letters, max_len)) == expected, variant
+
+
+# reports and BudgetExceeded details of the two searches, frozen from the
+# walk that composed once per word
+FROZEN_RELATIONS = {
+    ("bs_1_3", 6): ("a a a y a^-1 y^-1",),
+    ("aleshin", 7): (),
+    ("adding_machine", 10): (),
+    ("tullio", 7): (),
+    ("basilica", 7): (),
+    ("gupta_sidki_3", 6): ("a a a", "t t t"),
+}
+FROZEN_RELATION_PARTIALS = {
+    ("aleshin", 7, 500): (),
+    ("basilica", 7, 113): (),
+    ("basilica", 7, 114): (),
+    ("gupta_sidki_3", 6, 5): (),
+    ("gupta_sidki_3", 6, 20): ("a a a",),
+}
+FROZEN_CERTIFICATES = {
+    ("aleshin", "a", "b", 5): ("free_up_to", None),
+    ("aleshin", "a b", "c", 3): ("free_up_to", None),
+    ("tullio", "a", "a a", 4): ("relation_found", "U U V^-1"),
+    ("tullio", "a", "b", 5): ("relation_found", "U^-1 U^-1 V U V^-1 U V^-1 U V U^-1"),
+    ("basilica", "a", "b", 6): ("relation_found", "V U V^-1 U V U^-1 V^-1 U^-1"),
+    ("gupta_sidki_3", "a", "t", 4): ("relation_found", "U U U"),
+}
+# (family, u, v, max_len, budget): checked_len of the partial evidence
+FROZEN_CERTIFICATE_PARTIALS = {
+    ("aleshin", "a", "b", 5, 5): 1,
+    ("aleshin", "a", "b", 5, 20): 2,
+    ("aleshin", "a", "b", 5, 100): 3,
+    ("aleshin", "a", "b", 5, 300): 4,
+    ("aleshin", "a", "c b^-1", 4, 100): 3,
+    ("tullio", "a", "b", 5, 100): 3,
+    ("basilica", "a", "b", 6, 100): 3,
+}
+
+
+def budget_stop(call, budget: int):
+    with pytest.raises(BudgetExceeded) as info:
+        call(budget=budget)
+    assert (info.value.spent, info.value.limit) == (budget + 1, budget)
+    return info.value.partial
+
+
+@pytest.mark.parametrize("variant", WALK_VARIANTS)
+def test_searches_give_the_frozen_reports(variant):
+    with keyed_walks(variant) as seen:
+        for (family, max_len), relators in FROZEN_RELATIONS.items():
+            report = find_relations(WALK_FAMILIES[family], max_len)
+            assert report == RelationReport(max_len, tuple(map(Word.parse, relators)), True)
+        for (family, max_len, budget), relators in FROZEN_RELATION_PARTIALS.items():
+            gens = WALK_FAMILIES[family]
+            partial = budget_stop(lambda budget: find_relations(gens, max_len, budget), budget)
+            assert partial == RelationReport(max_len, tuple(map(Word.parse, relators)), False)
+        for (family, u, v, max_len), (status, relation) in FROZEN_CERTIFICATES.items():
+            evidence = free_subgroup_certificate(WALK_FAMILIES[family], u, v, max_len)
+            assert evidence == TrichotomyEvidence(status, (u, v), max_len, relation)
+        for (family, u, v, max_len, budget), checked in FROZEN_CERTIFICATE_PARTIALS.items():
+            gens = WALK_FAMILIES[family]
+            partial = budget_stop(
+                lambda budget: free_subgroup_certificate(gens, u, v, max_len, budget), budget
+            )
+            assert partial == TrichotomyEvidence("free_up_to", (u, v), checked)
+    assert_fallbacks_ran(variant, seen)
