@@ -22,7 +22,10 @@ numbered breadth-first from its initial state (identity state 0, initial
 state 1, then states in order of first discovery, letters taken in order)
 already is the canonical one.  compose builds its product in exactly that
 numbering, so a product that turns out minimal, the usual case, is
-returned without renumbering.
+returned without renumbering.  A sub-machine of a canonical machine (the
+states one state reaches, with state 0) is minimal too, since its states
+still act pairwise differently; renumbered breadth-first it is canonical,
+so a section is read off its parent's tables with no minimization.
 
 Composition is right to left throughout: (compose(g, h))(v) = g(h(v)).
 """
@@ -182,13 +185,7 @@ class Automorphism:
         assert perms[0] == idrow and all(t == 0 for t in trans[0])
         if initial == 0:
             return Automorphism.identity(k)
-        number = {0: 0, initial: 1}
-        order = [initial]
-        for s in order:  # the list grows while it is walked
-            for t in trans[s]:
-                if t not in number:
-                    number[t] = len(number)
-                    order.append(t)
+        number, order = _numbering(trans, initial)
         return _canonical(
             k,
             [idrow] + [perms[s] for s in order],
@@ -242,9 +239,20 @@ class Automorphism:
         return cls._build(k, perms, trans, index[initial])
 
     def _with_initial(self, s: int) -> "Automorphism":
+        """The section at state s, by renumbering alone (module docstring)."""
         if s == self.initial:
             return self
-        return Automorphism._build(self.k, self.perms, self.trans, s)
+        if s == 0:
+            return Automorphism.identity(self.k)
+        perms, trans = self.perms, self.trans
+        number, order = _numbering(trans, s)
+        return Automorphism(
+            self.k,
+            (perms[0],) + tuple([perms[t] for t in order]),
+            (trans[0],) + tuple([tuple([number[u] for u in trans[t]]) for t in order]),
+            1,
+            _raw=True,
+        )
 
     # -- value semantics -------------------------------------------------
 
@@ -408,6 +416,20 @@ def compose(g: Automorphism, h: Automorphism) -> Automorphism:
                 order.append(nxt)
             col.append(t)
     return _canonical(k, perms, cols)
+
+
+def _numbering(trans, initial: int) -> tuple[dict, list]:
+    """The states reachable from `initial` other than 0, in breadth-first
+    order of discovery (letters in order), and their numbers: 0 stays 0,
+    initial becomes 1, the others follow that order."""
+    number = {0: 0, initial: 1}
+    order = [initial]
+    for s in order:  # the list grows while it is walked
+        for t in trans[s]:
+            if t not in number:
+                number[t] = len(number)
+                order.append(t)
+    return number, order
 
 
 def _canonical(k: int, perms: list, cols: list) -> Automorphism:
@@ -590,15 +612,19 @@ def _distinct_words(letters, max_len: int):
     A word is told apart from the stored ones by its key, its action on
     level L: distinct keys prove distinct elements, and a repeated key is
     checked by composing both words.  L starts at 2 max_len, since two
-    words of length <= max_len differ by one of length <= 2 max_len, and
-    levels over _KEY_POINTS vertices are skipped.  A repeated key with
-    distinct values restarts the walk at L + 2, a second one or a full
+    words of length <= max_len differ by one of length <= 2 max_len; when
+    that level has more than _KEY_POINTS vertices, L is the largest level
+    under the cap instead.  A repeated key with distinct values restarts
+    the walk at L + 2 (skipped when over the cap), a second one or a full
     layer hands it to _reduced_words; either way the items already yielded
     are skipped, so the sequence never depends on the keys.
     """
     k = letters[0][1].k
+    first = 2 * max_len
+    while first > 0 and k ** first > _KEY_POINTS:
+        first -= 1
     done = 0
-    for level in (2 * max_len, 2 * max_len + 2):
+    for level in (first, first + 2):
         if k ** level > _KEY_POINTS:
             continue
         for n, item in enumerate(_keyed_words(letters, max_len, level)):

@@ -11,6 +11,13 @@ generators and their inverses, then repeatedly folds in the deep sections
 of pairwise products.  When the family is contracting this stabilizes on
 the minimal closed set; when it is not, the set keeps growing and the
 search reports it exceeded its bounds instead of looping forever.
+
+ball and the self-similarity check read one budgeted walk of reduced
+words (_ball_walk).  ball drains it; is_self_similar stops as soon as
+every first-level section of every generator has its first word, so a
+"yes" costs the elements up to its last witness, while "no" and
+"inconclusive" still need the whole ball.  The budget counts the distinct
+elements the walk has reached, in both.
 """
 
 from __future__ import annotations
@@ -143,17 +150,31 @@ def ball(
     Raises BudgetExceeded (with the partial map attached) past budget
     distinct elements.
     """
+    elements: dict[Automorphism, Word] = {}
+    for _ in _ball_walk(gens, max_len, budget, elements):
+        pass
+    return elements, max(map(len, elements.values())) < max_len
+
+
+def _ball_walk(gens: Mapping[str, Automorphism], max_len: int, budget: int, elements: dict):
+    """Yield each new (value, word) of ball(gens, max_len, budget), the
+    identity first, while `elements` fills up as ball's map.
+
+    The word yielded is the one ball stores; a value reaches `elements`
+    only once the consumer asks for the next one.
+    """
     letters = symmetric_letters(gens)
     if max_len < 0:
         raise ValueError("max_len must be nonnegative")
-    elements: dict[Automorphism, Word] = {}
-    for _, _, known in _reduced_words(letters, max_len, elements):
-        if known is None and len(elements) >= budget:
-            raise BudgetExceeded(
-                "ball budget of %d elements exhausted" % budget,
-                partial=elements, budget="ball", spent=len(elements) + 1, limit=budget,
-            )
-    return elements, max(map(len, elements.values())) < max_len
+    yield identity(letters[0][1].k), Word(())
+    for word, value, known in _reduced_words(letters, max_len, elements):
+        if known is None:
+            if len(elements) >= budget:
+                raise BudgetExceeded(
+                    "ball budget of %d elements exhausted" % budget,
+                    partial=elements, budget="ball", spent=len(elements) + 1, limit=budget,
+                )
+            yield value, word
 
 
 # -- self-similarity -----------------------------------------------------------
@@ -164,8 +185,9 @@ class SelfSimilarityReport:
     """verdict "yes", "no" or "inconclusive", with per-section witnesses.
 
     witnesses maps (generator name, letter) to the word that evaluates to
-    that section, or None when the ball search did not find one.  "no" is
-    only reported when the whole group was enumerated, so absence is proof.
+    that section, the first one in ball's order, or None when the ball
+    search did not find one.  "no" is only reported when the whole group
+    was enumerated, so absence is proof.
     """
 
     verdict: str
@@ -181,25 +203,29 @@ def is_self_similar(
     max_len: int = 8,
     budget: int = 100000,
 ) -> SelfSimilarityReport:
-    """Do all first-level sections of the generators lie in the group?"""
-    elements, closed = ball(gens, max_len, budget)
+    """Do all first-level sections of the generators lie in the group?
+
+    Reads ball(gens, max_len, budget)'s walk and stops once every section
+    has its word, so the budget bounds the distinct elements enumerated
+    until then: a "yes" whose witnesses all come before the budget runs
+    out is returned even when the whole ball would exceed it.  "no" and
+    "inconclusive" enumerate the whole ball, and raise as ball would.
+    """
     witnesses = {}
-    missing = False
+    pending: dict[Automorphism, list] = {}
     for name in sorted(gens):
         g = gens[name]
         for x in range(g.k):
-            s = g._with_initial(g.trans[g.initial][x])
-            found = elements.get(s)
-            witnesses[(name, x)] = str(found) if found is not None else None
-            if found is None:
-                missing = True
-    if not missing:
-        verdict = "yes"
-    elif closed:
-        verdict = "no"
-    else:
-        verdict = "inconclusive"
-    return SelfSimilarityReport(verdict, witnesses)
+            witnesses[(name, x)] = None
+            pending.setdefault(g._with_initial(g.trans[g.initial][x]), []).append((name, x))
+    elements: dict[Automorphism, Word] = {}
+    for value, word in _ball_walk(gens, max_len, budget, elements):
+        for key in pending.pop(value, ()):
+            witnesses[key] = str(word)
+        if not pending:
+            return SelfSimilarityReport("yes", witnesses)
+    closed = max(map(len, elements.values())) < max_len
+    return SelfSimilarityReport("no" if closed else "inconclusive", witnesses)
 
 
 # -- germs at eventually periodic rays -----------------------------------------
@@ -262,17 +288,22 @@ def _germ_group_in(elements, point: BoundaryPoint, max_order: int = 64) -> GermG
     stab.sort(key=lambda p: (len(p[0].letters), p[0].letters))
 
     reps: list[tuple[Word, Automorphism]] = []
+    inverses: list[Automorphism] = []  # inverses[i] is the inverse of reps[i][1]
 
     def class_of(elem: Automorphism) -> Optional[int]:
-        for i, (_, r) in enumerate(reps):
-            if germ_is_trivial(compose(elem, invert(r)), point):
+        for i, r_inv in enumerate(inverses):
+            if germ_is_trivial(compose(elem, r_inv), point):
                 return i
         return None
 
-    reps.append((Word(()), identity(next(iter(elements)).k)))
+    def add(word: Word, elem: Automorphism):
+        reps.append((word, elem))
+        inverses.append(invert(elem))
+
+    add(Word(()), identity(next(iter(elements)).k))
     for word, elem in stab:
         if class_of(elem) is None:
-            reps.append((word, elem))
+            add(word, elem)
 
     # close the class set under products (a finite set of germs closed under
     # products is a group); words for new classes are concatenations
@@ -288,7 +319,7 @@ def _germ_group_in(elements, point: BoundaryPoint, max_order: int = 64) -> GermG
                 done.add((i, j))
                 prod = compose(reps[i][1], reps[j][1])
                 if class_of(prod) is None:
-                    reps.append((reps[i][0] * reps[j][0], prod))
+                    add(reps[i][0] * reps[j][0], prod)
                     grew = True
     complete = len(reps) <= max_order
 

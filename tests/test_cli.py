@@ -73,6 +73,14 @@ def test_nucleus_reports_divergence():
     assert out["reason"] == "size limit"
 
 
+def test_nucleus_self_similarity_under_a_small_budget():
+    # the whole ball of radius 4 exceeds 5 elements, but the witnesses of
+    # every section come first, so the check answers
+    out = run_json("nucleus", "-f", "basilica", "--budget", "5")
+    assert out["status"] == "found"
+    assert out["self_similar"] == "yes"
+
+
 def test_germs_command():
     out = run_json("germs", "-f", "grigorchuk", "--point", ":1", "--max-len", "4")
     assert out["order"] == 4

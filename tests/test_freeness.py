@@ -239,3 +239,11 @@ def test_free_pair_certificate_tells_words_apart_without_products(compose_calls)
     assert evidence == TrichotomyEvidence("free_up_to", ("a", "b"), 4)
     # composing once per word took 162 products here
     assert len(compose_calls) <= 10
+
+
+def test_free_pair_certificate_keys_a_radius_over_the_cap(compose_calls):
+    # level 12 has more than 1,024 vertices, so the walk keys on level 10
+    evidence = free_subgroup_certificate(entry("aleshin").generators, "a", "b", 6)
+    assert evidence == TrichotomyEvidence("free_up_to", ("a", "b"), 6)
+    # skipping straight to the exact walk took 1,458 products here
+    assert len(compose_calls) <= 10

@@ -10,6 +10,10 @@ The level-action kernel and the level graphs built on it are checked
 against vertex-by-vertex loops over apply and state_at: on drawn machines,
 and on every catalog family.
 
+Sections read off by renumbering alone (Automorphism._with_initial) must
+equal the canonicalizing build of the same state, on drawn machines and on
+catalog words.
+
 The keyed word walk (core._distinct_words) must give the exact walk's
 sequence word for word, as built and forced onto each of its fallbacks,
 and the two searches on it must give the reports frozen from the exact walk.
@@ -156,6 +160,27 @@ def test_inverse(drawn):
         assert inv.apply(g.apply(v)) == v
 
 
+def assert_sections_by_renumbering(g: Automorphism):
+    """_with_initial against the canonicalizing build of each section."""
+    for s in range(g.state_count):
+        assert g._with_initial(s) == Automorphism._build(g.k, g.perms, g.trans, s), s
+
+
+@PROPERTIES
+@given(triples())
+def test_with_initial_on_drawn_machines(drawn):
+    for g in drawn[1] + (compose(*drawn[1][:2]),):
+        assert_sections_by_renumbering(g)
+
+
+@pytest.mark.parametrize("family", sorted(builtin()))
+def test_with_initial_on_catalog_words(family):
+    letters = symmetric_letters(builtin()[family].generators)
+    for _, value, known in _reduced_words(letters, 3, {}):
+        if known is None:
+            assert_sections_by_renumbering(value)
+
+
 @PROPERTIES
 @given(triples())
 def test_section(drawn):
@@ -296,8 +321,9 @@ WALK_VARIANTS = ("as_built", "low_levels", "small_layers", "no_level_fits")
 def keyed_walks(variant: str):
     """Run _distinct_words as built or forced onto its fallbacks.
 
-    low_levels keys on levels 1 and 3 instead of 2 r and 2 r + 2, so false
-    keys are common and the walk restarts and then hands over; small_layers
+    low_levels keys on levels 1 and 3 instead of 2 r and 2 r + 2 (on level
+    1 alone when the walk starts under 2 r, as L + 2 is then over the cap),
+    so false keys are common and the walk restarts and then hands over; small_layers
     caps a layer's keys low enough to hand over mid-walk; no_level_fits
     leaves no level under the cap.  Yields a Counter of keyed walks started,
     of how they gave up and of exact walks run.
@@ -308,7 +334,7 @@ def keyed_walks(variant: str):
     def recorded_keyed(letters, max_len, level):
         seen["keyed"] += 1
         if variant == "low_levels":
-            level -= 2 * max_len - 1
+            level = max(1, level - (2 * max_len - 1))
         for item in keyed(letters, max_len, level):
             if item is core._RAISE or item is core._EXACT:
                 seen[item] += 1
@@ -362,6 +388,26 @@ def test_distinct_words_on_the_catalog(family, variant):
             assert list(_distinct_words(letters, r)) == sequence, r
     if family == "aleshin":
         assert_fallbacks_ran(variant, seen)
+
+
+# 2 r = 12 is over the cap for a binary walk of radius 6, so it keys on
+# level 10, the largest level under it
+ALESHIN = entry("aleshin").generators
+ALESHIN_PAIR = symmetric_letters({"U": ALESHIN["a"], "V": ALESHIN["b"]})
+
+
+@pytest.fixture(scope="module")
+def aleshin_pair_sequence():
+    return exact_sequence(ALESHIN_PAIR, 6)
+
+
+@pytest.mark.parametrize("variant", WALK_VARIANTS)
+def test_distinct_words_start_under_the_cap(variant, aleshin_pair_sequence):
+    with keyed_walks(variant) as seen:
+        assert list(_distinct_words(ALESHIN_PAIR, 6)) == aleshin_pair_sequence
+    if variant == "as_built":
+        assert seen["keyed"] == 1 and seen["exact"] == 0, seen
+    assert_fallbacks_ran(variant, seen)
 
 
 @st.composite

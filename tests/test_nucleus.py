@@ -1,11 +1,21 @@
 import itertools
+from importlib import import_module
 
 import pytest
 
-from treeauto.catalog import entry
-from treeauto.core import BoundaryPoint, BudgetExceeded, evaluate_word, identity, invert
+from treeauto import core
+from treeauto.catalog import builtin, entry
+from treeauto.core import (
+    Automorphism,
+    BoundaryPoint,
+    BudgetExceeded,
+    evaluate_word,
+    identity,
+    invert,
+)
 from treeauto.freeness import germ_faithfulness_probe, stabilizer_search
 from treeauto.nucleus import (
+    SelfSimilarityReport,
     ball,
     germ_group,
     germ_is_trivial,
@@ -15,6 +25,9 @@ from treeauto.nucleus import (
     stabilizes,
 )
 from treeauto.words import Word
+
+# the package re-exports a function named nucleus, so look the module up
+nucleus_module = import_module("treeauto.nucleus")
 
 
 def test_limit_states_adding_machine():
@@ -234,3 +247,128 @@ def test_germ_group_adding_machine():
     rep = germ_group(gens, BoundaryPoint((), (1,)), max_len=5)
     assert rep.complete
     assert rep.order == 1
+
+
+# -- self-similarity against the whole ball -------------------------------------
+
+
+def reference_is_self_similar(gens, max_len, budget=100000):
+    """The check as it was first written: the whole ball, then one lookup per
+    section, each section canonicalized from scratch."""
+    elements, closed = ball(gens, max_len, budget)
+    witnesses = {}
+    for name in sorted(gens):
+        g = gens[name]
+        for x in range(g.k):
+            section = Automorphism._build(g.k, g.perms, g.trans, g.trans[g.initial][x])
+            found = elements.get(section)
+            witnesses[(name, x)] = None if found is None else str(found)
+    if None not in witnesses.values():
+        verdict = "yes"
+    elif closed:
+        verdict = "no"
+    else:
+        verdict = "inconclusive"
+    return SelfSimilarityReport(verdict, witnesses)
+
+
+# every catalog family, and each of its generators alone (where the "no" and
+# "inconclusive" verdicts live)
+GENERATOR_SETS = {family: e.generators for family, e in builtin().items()}
+GENERATOR_SETS.update(
+    ("%s:%s" % (family, name), {name: g})
+    for family, e in builtin().items()
+    for name, g in e.generators.items()
+)
+
+
+def same_report(got: SelfSimilarityReport, expected: SelfSimilarityReport):
+    assert got == expected
+    assert list(got.witnesses.items()) == list(expected.witnesses.items())
+
+
+@pytest.mark.parametrize("name", sorted(GENERATOR_SETS))
+def test_self_similarity_matches_the_whole_ball(name):
+    gens = GENERATOR_SETS[name]
+    for max_len in range(5):
+        same_report(is_self_similar(gens, max_len), reference_is_self_similar(gens, max_len))
+
+
+def test_self_similarity_reaches_every_verdict():
+    verdicts = {is_self_similar(gens, 4).verdict for gens in GENERATOR_SETS.values()}
+    assert verdicts == {"yes", "no", "inconclusive"}
+
+
+@pytest.mark.parametrize("name", sorted(GENERATOR_SETS))
+def test_self_similarity_budget(name):
+    """Where the whole ball outgrows the budget, the check still raises as
+    ball raises unless every witness comes before the budget runs out."""
+    gens = GENERATOR_SETS[name]
+    max_len = 4
+    order = list(ball(gens, max_len)[0])  # elements in the order the walk meets them
+    unbudgeted = reference_is_self_similar(gens, max_len)
+    for budget in (1, 2, 3, 5, 10, 40):
+        try:
+            expected = reference_is_self_similar(gens, max_len, budget)
+        except BudgetExceeded as err:
+            reached = set(order[:budget])
+            witnessed = unbudgeted.verdict == "yes" and all(
+                g._with_initial(g.trans[g.initial][x]) in reached
+                for g in gens.values()
+                for x in range(g.k)
+            )
+            if not witnessed:
+                with pytest.raises(BudgetExceeded) as info:
+                    is_self_similar(gens, max_len, budget)
+                got = info.value
+                assert (got.budget, got.spent, got.limit) == (err.budget, err.spent, err.limit)
+                assert list(got.partial.items()) == list(err.partial.items())
+                continue
+            expected = unbudgeted  # answered before the budget ran out
+        same_report(is_self_similar(gens, max_len, budget), expected)
+
+
+def test_self_similarity_answers_under_a_budget_the_ball_exceeds():
+    gens = entry("basilica").generators
+    with pytest.raises(BudgetExceeded):
+        ball(gens, 4, budget=5)
+    rep = is_self_similar(gens, max_len=4, budget=5)
+    assert rep.verdict == "yes"
+    assert rep.witnesses == {("a", 0): "b", ("a", 1): "e", ("b", 0): "a", ("b", 1): "e"}
+
+
+@pytest.fixture
+def compose_calls(monkeypatch):
+    """The list that every core.compose call appends to, from any module."""
+    compose = core.compose
+    calls = []
+
+    def counting_compose(g, h):
+        calls.append(None)
+        return compose(g, h)
+
+    monkeypatch.setattr(core, "compose", counting_compose)
+    monkeypatch.setattr(nucleus_module, "compose", counting_compose)
+    return calls
+
+
+def test_self_similarity_stops_at_its_last_witness(compose_calls):
+    rep = is_self_similar(entry("aleshin").generators, max_len=4)
+    assert rep.verdict == "yes"
+    # the whole ball of radius 4 (937 elements) took more than 900 products
+    assert len(compose_calls) <= 20
+
+
+def test_germ_group_inverts_each_class_once(monkeypatch):
+    invert = nucleus_module.invert
+    calls = []
+
+    def counting_invert(g):
+        calls.append(g)
+        return invert(g)
+
+    monkeypatch.setattr(nucleus_module, "invert", counting_invert)
+    rep = germ_group(entry("grigorchuk").generators, BoundaryPoint.parse(":1"), max_len=4)
+    assert rep.representatives == ("e", "b", "c", "d")
+    assert rep.table == ((0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0))
+    assert len(calls) <= rep.order
