@@ -4,146 +4,66 @@ The core value type is Automorphism, a minimized canonical-form machine;
 equal behavior means equal value.  Everything else builds on that: word
 evaluation, activity growth, singular measures, nucleus closures, germs
 at rays, level graphs with Folner candidates, and relator searches.
+
+Importing the package loads nucleus and the core and words modules it
+needs; every other module loads the first time one of its names is read
+(PEP 562), so a caller pays only for what it uses.
 """
 
-from .activity import (
-    ActivityClass,
-    BoundedClosureReport,
-    DirectionSet,
-    classify_activity,
-    directions,
-    empirical_measure_sequence,
-    is_bounded_closed_under_product,
-    singular_measure,
-    theta,
-    theta_relative,
-    theta_sequence,
-)
-from .catalog import (
-    CatalogEntry,
-    builtin,
-    decode_integer,
-    encode_integer,
-    entry,
-    integer_tree_crosscheck,
-    tullio_integer_action,
-)
-from .core import (
-    Automorphism,
-    BoundaryPoint,
-    BudgetExceeded,
-    apply,
-    apply_boundary,
-    compose,
-    evaluate_word,
-    identity,
-    invert,
-    is_identity,
-    minimize,
-    section,
-    vertex,
-)
-from .freeness import (
-    FaithfulnessProbe,
-    RelationReport,
-    StabilizerSample,
-    TrichotomyEvidence,
-    find_relations,
-    free_subgroup_certificate,
-    germ_faithfulness_probe,
-    kernel_witness_commutator,
-    kernel_witness_power,
-    stabilizer_search,
-)
-from .machine_io import MachineParseError, dump_machine, parse_machine, parse_machine_file
-from .nucleus import (
-    GermGroupReport,
-    NucleusResult,
-    SelfSimilarityReport,
-    ball,
-    germ_group,
-    germ_is_trivial,
-    is_self_similar,
-    limit_states,
-    nucleus,
-    stabilizes,
-)
-from .schreier import (
-    FolnerReport,
-    SchreierGraph,
-    folner_candidate,
-    gamma_prime_components,
-    isoperimetric_profile,
-    orbit,
-    schreier_graph,
-    symmetrize,
-)
-from .words import Word, commutator
+from importlib import import_module
 
-__all__ = [
-    "ActivityClass",
-    "Automorphism",
-    "BoundaryPoint",
-    "BoundedClosureReport",
-    "BudgetExceeded",
-    "CatalogEntry",
-    "DirectionSet",
-    "FaithfulnessProbe",
-    "FolnerReport",
-    "GermGroupReport",
-    "MachineParseError",
-    "NucleusResult",
-    "RelationReport",
-    "SchreierGraph",
-    "SelfSimilarityReport",
-    "StabilizerSample",
-    "TrichotomyEvidence",
-    "Word",
-    "apply",
-    "apply_boundary",
-    "ball",
-    "builtin",
-    "classify_activity",
-    "commutator",
-    "compose",
-    "decode_integer",
-    "directions",
-    "dump_machine",
-    "empirical_measure_sequence",
-    "encode_integer",
-    "entry",
-    "evaluate_word",
-    "find_relations",
-    "folner_candidate",
-    "free_subgroup_certificate",
-    "gamma_prime_components",
-    "germ_faithfulness_probe",
-    "germ_group",
-    "germ_is_trivial",
-    "identity",
-    "integer_tree_crosscheck",
-    "invert",
-    "is_bounded_closed_under_product",
-    "is_identity",
-    "is_self_similar",
-    "isoperimetric_profile",
-    "kernel_witness_commutator",
-    "kernel_witness_power",
-    "limit_states",
-    "minimize",
-    "nucleus",
-    "orbit",
-    "parse_machine",
-    "parse_machine_file",
-    "schreier_graph",
-    "section",
-    "singular_measure",
-    "stabilizer_search",
-    "stabilizes",
-    "symmetrize",
-    "theta",
-    "theta_relative",
-    "theta_sequence",
-    "tullio_integer_action",
-    "vertex",
-]
+# `nucleus` names both a submodule and the function exported here.  The
+# import system binds a submodule on its package when it first loads it, and
+# __getattr__ never sees a bound name, so a lazily exported `nucleus` would
+# read as the module as soon as anything imported treeauto.nucleus.  Binding
+# the function now keeps it; core and words load with it either way.
+from .nucleus import nucleus
+
+# the public names, by defining module
+_EXPORTS = {
+    "activity": (
+        "ActivityClass", "BoundedClosureReport", "DirectionSet", "classify_activity", "directions",
+        "empirical_measure_sequence", "is_bounded_closed_under_product", "singular_measure",
+        "theta", "theta_relative", "theta_sequence",
+    ),
+    "catalog": (
+        "CatalogEntry", "builtin", "decode_integer", "encode_integer", "entry",
+        "integer_tree_crosscheck", "tullio_integer_action",
+    ),
+    "core": (
+        "Automorphism", "BoundaryPoint", "BudgetExceeded", "apply", "apply_boundary", "compose",
+        "evaluate_word", "identity", "invert", "is_identity", "minimize", "section", "vertex",
+    ),
+    "freeness": (
+        "FaithfulnessProbe", "RelationReport", "StabilizerSample", "TrichotomyEvidence",
+        "find_relations", "free_subgroup_certificate", "germ_faithfulness_probe",
+        "kernel_witness_commutator", "kernel_witness_power", "stabilizer_search",
+    ),
+    "machine_io": ("MachineParseError", "dump_machine", "parse_machine", "parse_machine_file"),
+    "nucleus": (
+        "GermGroupReport", "NucleusResult", "SelfSimilarityReport", "ball", "germ_group",
+        "germ_is_trivial", "is_self_similar", "limit_states", "nucleus", "stabilizes",
+    ),
+    "schreier": (
+        "FolnerReport", "SchreierGraph", "folner_candidate", "gamma_prime_components",
+        "isoperimetric_profile", "orbit", "schreier_graph", "symmetrize",
+    ),
+    "words": ("Word", "commutator"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:  # a submodule, read as an attribute before its first import
+        return import_module("." + name, __name__)
+    if name not in _HOME:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    value = getattr(import_module("." + _HOME[name], __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return list(__all__)

@@ -19,8 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional
 
-from .core import Automorphism, BoundaryPoint, compose, invert
-from .schreier import orbit
+from .core import Automorphism, BoundaryPoint, _sccs, compose, invert
 
 
 def theta(g: Automorphism, n: int) -> int:
@@ -40,6 +39,9 @@ def theta(g: Automorphism, n: int) -> int:
 
 
 def theta_sequence(g: Automorphism, n: int) -> list[int]:
+    """theta(g, i) for i = 0..n."""
+    if n < 0:
+        raise ValueError("level must be nonnegative")
     return [theta(g, i) for i in range(n + 1)]
 
 
@@ -51,6 +53,10 @@ def theta_relative(
     budget: int = 10 ** 6,
 ) -> int:
     """Active vertices of g on the level-n orbit of the seed ray's prefix."""
+    from .schreier import orbit
+
+    if n < 0:
+        raise ValueError("level must be nonnegative")
     verts = orbit(gens, seed.prefix(n), budget=budget)
     if any(h.k != g.k for h in gens.values()):
         raise ValueError("g and the generators act on different alphabets")
@@ -89,54 +95,6 @@ def _nontrivial_graph(g: Automorphism):
     nodes = list(range(1, g.state_count))
     succ = {s: [t for t in g.trans[s] if t != 0] for s in nodes}
     return nodes, succ
-
-
-def _sccs(nodes, succ):
-    """Iterative Tarjan; components come out successors-first."""
-    index: dict[int, int] = {}
-    low: dict[int, int] = {}
-    onstack: set[int] = set()
-    stack: list[int] = []
-    comps: list[list[int]] = []
-    counter = 0
-    for root in nodes:
-        if root in index:
-            continue
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        onstack.add(root)
-        work = [(root, iter(succ[root]))]
-        while work:
-            node, it = work[-1]
-            advanced = False
-            for child in it:
-                if child not in index:
-                    index[child] = low[child] = counter
-                    counter += 1
-                    stack.append(child)
-                    onstack.add(child)
-                    work.append((child, iter(succ[child])))
-                    advanced = True
-                    break
-                if child in onstack:
-                    low[node] = min(low[node], index[child])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    onstack.discard(w)
-                    comp.append(w)
-                    if w == node:
-                        break
-                comps.append(sorted(comp))
-    return comps
 
 
 def _cycle_order(comp, succ):
@@ -343,6 +301,8 @@ def singular_measure(g: Automorphism) -> Fraction:
 
 def empirical_measure_sequence(g: Automorphism, n: int) -> list[Fraction]:
     """theta(g, i) / k^i for i = 0..n; nonincreasing, limit singular_measure(g)."""
+    if n < 0:
+        raise ValueError("level must be nonnegative")
     return [Fraction(theta(g, i), g.k ** i) for i in range(n + 1)]
 
 

@@ -8,6 +8,10 @@ fed elsewhere.  Exit codes: 0 on success, 1 on bad usage or bad input,
 Vertices are written as digit strings ("011"), boundary rays as
 "preperiod:period" ("01:10", ":1"); alphabets therefore need k <= 10,
 which covers every built-in family.
+
+Each command imports what it runs: the module level holds only catalog,
+core, machine_io and nucleus, and a handler imports activity, schreier or
+freeness when it is called, so a light command never loads the heavy ones.
 """
 
 from __future__ import annotations
@@ -16,16 +20,7 @@ import argparse
 import json
 import sys
 from dataclasses import asdict
-from fractions import Fraction
 
-from .activity import (
-    classify_activity,
-    directions,
-    empirical_measure_sequence,
-    singular_measure,
-    theta,
-    theta_relative,
-)
 from .catalog import builtin, entry
 from .core import (
     Automorphism,
@@ -34,18 +29,9 @@ from .core import (
     apply,
     apply_boundary,
     evaluate_word,
-    vertex,
-)
-from .freeness import (
-    RelationReport,
-    _faithfulness_probe_in,
-    find_relations,
-    free_subgroup_certificate,
-    stabilizer_search,
 )
 from .machine_io import MachineParseError, dump_machine, parse_machine_file
 from .nucleus import _germ_group_in, ball, germ_group, is_self_similar, nucleus
-from .schreier import FolnerReport, folner_candidate, isoperimetric_profile, schreier_graph
 
 
 class _Parser(argparse.ArgumentParser):
@@ -60,7 +46,7 @@ def _emit(data) -> int:
     return 0
 
 
-def _frac(x: Fraction) -> dict:
+def _frac(x) -> dict:
     return {"num": x.numerator, "den": x.denominator}
 
 
@@ -95,7 +81,7 @@ def _add_source(p: argparse.ArgumentParser):
     p.add_argument("--gens", help="comma-separated generator names to keep, in order")
 
 
-def _folner_json(rep: FolnerReport) -> dict:
+def _folner_json(rep) -> dict:
     return {
         "level": rep.level,
         "size": rep.size,
@@ -115,7 +101,7 @@ def _folner_json(rep: FolnerReport) -> dict:
     }
 
 
-def _relations_json(rep: RelationReport) -> dict:
+def _relations_json(rep) -> dict:
     return {
         "max_len": rep.max_len,
         "complete": rep.complete,
@@ -126,6 +112,8 @@ def _relations_json(rep: RelationReport) -> dict:
 def _partial_json(partial):
     if partial is None:
         return None
+    from .freeness import RelationReport
+
     if isinstance(partial, RelationReport):
         return _relations_json(partial)
     if isinstance(partial, dict):
@@ -148,6 +136,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    from .activity import classify_activity, directions
+
     gens = _load_gens(args)
     g = evaluate_word(gens, args.word)
     cls = classify_activity(g)
@@ -161,19 +151,25 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_theta(args) -> int:
+    from .activity import theta_relative, theta_sequence
+
     gens = _load_gens(args)
     g = evaluate_word(gens, args.word)
     if args.point:
+        if args.levels < 0:
+            raise ValueError("level must be nonnegative")
         point = BoundaryPoint.parse(args.point)
         counts = [
             theta_relative(gens, g, point, n, budget=args.budget)
             for n in range(args.levels + 1)
         ]
         return _emit({"point": str(point), "theta_relative": counts})
-    return _emit({"theta": [theta(g, n) for n in range(args.levels + 1)]})
+    return _emit({"theta": theta_sequence(g, args.levels)})
 
 
 def _cmd_measure(args) -> int:
+    from .activity import empirical_measure_sequence, singular_measure
+
     gens = _load_gens(args)
     g = evaluate_word(gens, args.word)
     return _emit(
@@ -217,6 +213,8 @@ def _cmd_germs(args) -> int:
 
 
 def _cmd_schreier(args) -> int:
+    from .schreier import schreier_graph
+
     gens = _load_gens(args)
     gr = schreier_graph(gens, args.vertex, budget=args.budget)
     if args.dot:
@@ -240,19 +238,25 @@ def _cmd_schreier(args) -> int:
 
 
 def _cmd_folner(args) -> int:
+    from .schreier import folner_candidate, isoperimetric_profile
+
     gens = _load_gens(args)
-    if args.profile:
+    if args.profile is not None:
         reps = isoperimetric_profile(gens, args.profile, budget=args.budget)
         return _emit({"profile": [_folner_json(r) for r in reps]})
     return _emit(_folner_json(folner_candidate(gens, args.level, budget=args.budget)))
 
 
 def _cmd_relations(args) -> int:
+    from .freeness import find_relations
+
     gens = _load_gens(args)
     return _emit(_relations_json(find_relations(gens, args.max_len, budget=args.budget)))
 
 
 def _cmd_stabilizer(args) -> int:
+    from .freeness import stabilizer_search
+
     gens = _load_gens(args)
     sample = stabilizer_search(
         gens, BoundaryPoint.parse(args.point), args.max_len, budget=args.budget
@@ -269,6 +273,9 @@ def _cmd_stabilizer(args) -> int:
 
 
 def _cmd_trichotomy(args) -> int:
+    from .freeness import _faithfulness_probe_in, find_relations, free_subgroup_certificate
+    from .schreier import isoperimetric_profile
+
     gens = _load_gens(args)
     relations = find_relations(gens, args.max_len, budget=args.budget)
     profile = isoperimetric_profile(gens, args.levels, budget=args.budget)

@@ -137,6 +137,8 @@ class BoundaryPoint:
             yield from self.period
 
     def prefix(self, n: int) -> tuple[int, ...]:
+        if n < 0:
+            raise ValueError("prefix length must be nonnegative")
         out = []
         for x in self.letters():
             if len(out) == n:
@@ -465,6 +467,56 @@ def _canonical(k: int, perms: list, cols: list) -> Automorphism:
     new_perms = (perms[0],) + tuple(perms[s] for s in reps)
     new_trans = ((0,) * k,) + tuple(tuple(number[ids[col[s]]] for col in cols) for s in reps)
     return Automorphism(k, new_perms, new_trans, 1, _raw=True)
+
+
+def _sccs(nodes, succ):
+    """Strongly connected components of a state graph (succ[s] lists the
+    successors of s), each sorted, by iterative Tarjan; components come
+    out successors-first."""
+    index: dict[int, int] = {}
+    low: dict[int, int] = {}
+    onstack: set[int] = set()
+    stack: list[int] = []
+    comps: list[list[int]] = []
+    counter = 0
+    for root in nodes:
+        if root in index:
+            continue
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        onstack.add(root)
+        work = [(root, iter(succ[root]))]
+        while work:
+            node, it = work[-1]
+            advanced = False
+            for child in it:
+                if child not in index:
+                    index[child] = low[child] = counter
+                    counter += 1
+                    stack.append(child)
+                    onstack.add(child)
+                    work.append((child, iter(succ[child])))
+                    advanced = True
+                    break
+                if child in onstack:
+                    low[node] = min(low[node], index[child])
+            if advanced:
+                continue
+            work.pop()
+            if work:
+                parent = work[-1][0]
+                low[parent] = min(low[parent], low[node])
+            if low[node] == index[node]:
+                comp = []
+                while True:
+                    w = stack.pop()
+                    onstack.discard(w)
+                    comp.append(w)
+                    if w == node:
+                        break
+                comps.append(sorted(comp))
+    return comps
 
 
 def invert(g: Automorphism) -> Automorphism:

@@ -25,12 +25,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
-from .activity import _sccs
 from .core import (
     Automorphism,
     BoundaryPoint,
     BudgetExceeded,
     _reduced_words,
+    _sccs,
     apply_boundary,
     compose,
     identity,
@@ -95,6 +95,8 @@ def nucleus(
 ) -> NucleusResult:
     if not gens:
         raise ValueError("need at least one generator")
+    if max_size < 1 or max_depth < 1:
+        raise ValueError("max_size and max_depth must be at least 1")
     k = next(iter(gens.values())).k
     N: set[Automorphism] = {identity(k)}
     for g in gens.values():

@@ -212,4 +212,6 @@ def isoperimetric_profile(
     budget: int = 10 ** 6,
 ) -> tuple[FolnerReport, ...]:
     """Folner candidates for levels 1 through max_level."""
+    if max_level < 0:
+        raise ValueError("level must be nonnegative")
     return tuple(folner_candidate(gens, n, budget) for n in range(1, max_level + 1))

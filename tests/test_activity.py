@@ -64,6 +64,14 @@ def test_theta_rejects_negative_level():
         theta(entry("tullio").generators["a"], -1)
 
 
+def test_level_sequences_reject_negative_levels():
+    g = entry("tullio").generators["b"]
+    for seq in (theta_sequence, empirical_measure_sequence):
+        with pytest.raises(ValueError, match="level must be nonnegative"):
+            seq(g, -1)
+        assert len(seq(g, 0)) == 1
+
+
 def test_classification_catalog():
     tullio = entry("tullio").generators
     a = classify_activity(tullio["a"])

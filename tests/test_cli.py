@@ -111,6 +111,28 @@ def test_folner_command():
     assert [r["level"] for r in prof["profile"]] == [1, 2, 3, 4]
 
 
+def test_folner_profile_zero_is_an_empty_profile():
+    assert run_json("folner", "-f", "adding_machine", "--profile", "0") == {"profile": []}
+
+
+def test_negative_level_counts_are_input_errors():
+    for args in (
+        ("theta", "-f", "tullio", "b", "--levels", "-1"),
+        ("theta", "-f", "tullio", "b", "--levels", "-1", "--point", ":0"),
+        ("measure", "-f", "tullio", "b", "--levels", "-1"),
+        ("folner", "-f", "adding_machine", "--profile", "-2"),
+        ("trichotomy", "-f", "adding_machine", "--levels", "-1", "--max-len", "1"),
+    ):
+        assert run(*args) == (1, "", "error: level must be nonnegative\n"), args
+
+
+def test_nucleus_limits_below_one_are_input_errors():
+    for flag in ("--max-depth", "--max-size"):
+        code, out, err = run("nucleus", "-f", "grigorchuk", flag, "0")
+        assert (code, out) == (1, "")
+        assert "must be at least 1" in err
+
+
 def test_relations_command():
     out = run_json("relations", "-f", "grigorchuk", "--max-len", "2")
     assert out == {
@@ -243,3 +265,24 @@ def test_output_is_deterministic():
         second = run(*args)
         assert first == second
         assert first[0] == 0
+
+
+def _modules_after(argv):
+    """treeauto's heavy modules loaded after main(argv) in a fresh interpreter."""
+    code = (
+        "import contextlib, io, sys\n"
+        "from treeauto.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(%r) == 0\n"
+        "print(' '.join(sorted(m for m in sys.modules if m.startswith('treeauto.'))))\n"
+    ) % (list(argv),)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    heavy = {"treeauto.activity", "treeauto.schreier", "treeauto.freeness"}
+    return heavy.intersection(proc.stdout.split())
+
+
+def test_each_command_loads_only_what_it_runs():
+    assert _modules_after(["catalog", "list"]) == set()
+    assert _modules_after(["eval", "-f", "grigorchuk", "a b", "0110"]) == set()
+    assert _modules_after(["classify", "-f", "grigorchuk", "b"]) == {"treeauto.activity"}

@@ -94,6 +94,12 @@ def test_nucleus_generation_limit():
     assert res.reason == "generation limit"
 
 
+@pytest.mark.parametrize("limits", [{"max_depth": 0}, {"max_depth": -1}, {"max_size": 0}])
+def test_nucleus_rejects_limits_below_one(limits):
+    with pytest.raises(ValueError, match="must be at least 1"):
+        nucleus(entry("grigorchuk").generators, **limits)
+
+
 def test_ball_enumeration():
     gens = entry("adding_machine").generators
     elements, closed = ball(gens, 3)

@@ -112,6 +112,21 @@ def test_folner_budget_and_args():
         folner_candidate(gens, 0)
 
 
+def test_theta_relative_rejects_negative_levels():
+    gens = entry("grigorchuk").generators
+    with pytest.raises(ValueError, match="level must be nonnegative"):
+        theta_relative(gens, gens["b"], BoundaryPoint.parse(":1"), -1)
+    with pytest.raises(ValueError, match="prefix length must be nonnegative"):
+        BoundaryPoint.parse(":1").prefix(-1)
+
+
+def test_isoperimetric_profile_rejects_negative_levels():
+    gens = entry("grigorchuk").generators
+    assert isoperimetric_profile(gens, 0) == ()
+    with pytest.raises(ValueError, match="level must be nonnegative"):
+        isoperimetric_profile(gens, -2)
+
+
 def test_theta_relative_counts_active_orbit_vertices():
     gens = entry("tullio").generators
     zero = BoundaryPoint((), (0,))
