@@ -19,13 +19,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional
 
-from .core import Automorphism, BoundaryPoint, _sccs, compose, invert
+from .core import Automorphism, BoundaryPoint, _sccs, compose, invert, level_action
 
 
 def theta(g: Automorphism, n: int) -> int:
     """The number of level-n vertices with nontrivial section."""
     if n < 0:
         raise ValueError("level must be nonnegative")
+    return _theta(g, n)
+
+
+def _theta(g: Automorphism, n: int) -> int:
     counts = [0] * g.state_count
     counts[g.initial] = 1
     for _ in range(n):
@@ -53,14 +57,19 @@ def theta_relative(
     budget: int = 10 ** 6,
 ) -> int:
     """Active vertices of g on the level-n orbit of the seed ray's prefix."""
-    from .schreier import orbit
+    from .schreier import _orbit
 
     if n < 0:
         raise ValueError("level must be nonnegative")
-    verts = orbit(gens, seed.prefix(n), budget=budget)
     if any(h.k != g.k for h in gens.values()):
         raise ValueError("g and the generators act on different alphabets")
-    return sum(1 for v in verts if g._walk(v)[1] != 0)
+    keys = _orbit(gens, seed.prefix(n), budget)[3]
+    if len(keys) == g.k ** n:
+        return _theta(g, n)
+    if isinstance(keys[0], int):  # a swept level: the keys index g's level row
+        states = level_action(g, n)[1]
+        return sum(1 for u in keys if states[u] != 0)
+    return sum(1 for v in keys if g._walk(v)[1] != 0)
 
 
 # -- classification -----------------------------------------------------------

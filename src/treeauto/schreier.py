@@ -19,7 +19,10 @@ Whole levels come from core.level_action: the level-n vertex x_1 ... x_n
 is the integer with base-k digits x_1 ... x_n, first letter most
 significant (integer order is lex order), and a state s acts on it by
 pi_s(x k^(n-1) + w) = pi_s(x) k^(n-1) + pi_{s|x}(w), one sweep per level.
-Orbits walk vertex by vertex instead: a small orbit can sit on a deep level.
+Orbits use the same sweep when the whole level fits the vertex budget
+(k ** n <= budget), even a small orbit, and search over those integers; a
+level over the budget is walked vertex by vertex from the start, the only
+way a small orbit on a deep level can be found.
 """
 
 from __future__ import annotations
@@ -37,19 +40,41 @@ def symmetrize(gens: Mapping[str, Automorphism]) -> dict[str, Automorphism]:
     return {name + ("" if sign > 0 else "^-1"): g for (name, sign), g in symmetric_letters(gens)}
 
 
-def orbit(
-    gens: Mapping[str, Automorphism],
-    v,
-    budget: int = 10 ** 6,
-) -> tuple[tuple[int, ...], ...]:
-    """The orbit of the vertex under the group, lexicographically sorted."""
-    syms = list(symmetrize(gens).values())
-    start = syms[0]._vertex(v)
+def _orbit(gens: Mapping[str, Automorphism], v, budget: int):
+    """(labels, k, n, keys, rows) of the orbit of the level-n vertex v.
+
+    keys is the sorted orbit and rows[j] the pair (images, states) of the
+    j-th symmetrized generator, both indexed by key.  On a level that fits
+    the budget the keys are base-k integers and rows the level actions; on
+    a larger level the keys are vertex tuples and rows dicts of what the
+    walk read.
+    """
+    syms = symmetrize(gens)
+    values = list(syms.values())
+    start = values[0]._vertex(v)
+    k, n = values[0].k, len(start)
+    if k ** n <= budget:  # the orbit fits whatever it turns out to be
+        rows = [level_action(g, n) for g in values]
+        first = 0
+        for x in start:
+            first = first * k + x
+        seen = bytearray(k ** n)
+        seen[first] = 1
+        queue = [first]
+        for u in queue:  # the list grows while it is walked
+            for images, _ in rows:
+                w = images[u]
+                if not seen[w]:
+                    seen[w] = 1
+                    queue.append(w)
+        return tuple(syms), k, n, sorted(queue), rows
+    rows = [({}, {}) for _ in values]
     seen = {start}
     queue = [start]
-    for u in queue:  # the list grows while it is walked
-        for g in syms:
-            w = g._walk(u)[0]
+    for u in queue:
+        for g, (images, states) in zip(values, rows):
+            w, s = g._walk(u)
+            images[u], states[u] = w, s
             if w not in seen:
                 if len(seen) >= budget:
                     raise BudgetExceeded(
@@ -59,7 +84,28 @@ def orbit(
                     )
                 seen.add(w)
                 queue.append(w)
-    return tuple(sorted(seen))
+    return tuple(syms), k, n, sorted(seen), rows
+
+
+def _vertices(keys: list, k: int, n: int) -> tuple[tuple[int, ...], ...]:
+    """The vertex tuples of sorted orbit keys."""
+    if isinstance(keys[0], tuple):
+        return tuple(keys)
+    if 2 * len(keys) >= k ** n:  # most of the level: index all of it once
+        verts = list(product(range(k), repeat=n))
+        return tuple(map(verts.__getitem__, keys))
+    powers = [k ** i for i in range(n - 1, -1, -1)]
+    return tuple(tuple(u // p % k for p in powers) for u in keys)
+
+
+def orbit(
+    gens: Mapping[str, Automorphism],
+    v,
+    budget: int = 10 ** 6,
+) -> tuple[tuple[int, ...], ...]:
+    """The orbit of the vertex under the group, lexicographically sorted."""
+    _, k, n, keys, _ = _orbit(gens, v, budget)
+    return _vertices(keys, k, n)
 
 
 @dataclass(frozen=True)
@@ -82,15 +128,14 @@ def schreier_graph(
     v,
     budget: int = 10 ** 6,
 ) -> SchreierGraph:
-    verts = orbit(gens, v, budget)
-    syms = symmetrize(gens)
-    index = {u: i for i, u in enumerate(verts)}
-    edges = []
-    for i, u in enumerate(verts):
-        for j, g in enumerate(syms.values()):
-            w, s = g._walk(u)
-            edges.append((i, j, index[w], s == 0))
-    return SchreierGraph(len(verts[0]), tuple(syms), verts, tuple(edges))
+    labels, k, n, keys, rows = _orbit(gens, v, budget)
+    index = {u: i for i, u in enumerate(keys)}
+    edges = tuple(
+        (i, j, index[images[u]], states[u] == 0)
+        for i, u in enumerate(keys)
+        for j, (images, states) in enumerate(rows)
+    )
+    return SchreierGraph(n, labels, _vertices(keys, k, n), edges)
 
 
 def _level_vertices(k: int, level: int, budget: int) -> int:

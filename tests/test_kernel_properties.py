@@ -8,7 +8,9 @@ own tables and over the operands' tables, never by another canonical form.
 
 The level-action kernel and the level graphs built on it are checked
 against vertex-by-vertex loops over apply and state_at: on drawn machines,
-and on every catalog family.
+and on every catalog family.  Orbits, Schreier graphs and relative
+activity are checked on both of their paths, the level sweep and the
+vertex-by-vertex walk.
 
 Sections read off by renumbering alone (Automorphism._with_initial) must
 equal the canonicalizing build of the same state, on drawn machines and on
@@ -28,11 +30,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treeauto import core
-from treeauto.activity import theta
+from treeauto import core, schreier
+from treeauto.activity import theta, theta_relative
 from treeauto.catalog import builtin, entry
 from treeauto.core import (
     Automorphism,
+    BoundaryPoint,
     BudgetExceeded,
     _distinct_words,
     _reduced_words,
@@ -53,6 +56,7 @@ from treeauto.schreier import (
     SchreierGraph,
     folner_candidate,
     gamma_prime_components,
+    orbit,
     schreier_graph,
     symmetrize,
 )
@@ -310,6 +314,73 @@ def test_level_graphs_on_the_catalog(family):
 @given(pairs())
 def test_level_graphs_on_drawn_pairs(gens):
     assert_level_graphs(gens, range(1, 4))
+
+
+# -- orbits, swept and walked ---------------------------------------------------
+
+
+def brute_theta_relative(gens, g, v) -> int:
+    return sum(1 for u in brute_orbit(gens, v) if g.state_at(u) != 0)
+
+
+def orbit_results(gens, g, ray, n, budget) -> tuple:
+    v = ray.prefix(n)
+    return (
+        orbit(gens, v, budget),
+        schreier_graph(gens, v, budget),
+        theta_relative(gens, g, ray, n, budget),
+    )
+
+
+def no_level_sweep(g, n):
+    raise AssertionError("level_action called on level %d" % n)
+
+
+def assert_orbits_on_both_paths(gens, g, levels):
+    k = g.k
+    sweep = schreier.level_action
+    swept = []
+    for n in levels:
+        for ray in (BoundaryPoint((), (0,)), BoundaryPoint((), tuple(range(1, k)) + (0,))):
+            v = ray.prefix(n)
+            verts = brute_orbit(gens, v)
+            want = (verts, brute_schreier(gens, v), brute_theta_relative(gens, g, v))
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(schreier, "level_action", lambda h, m: swept.append(m) or sweep(h, m))
+                # the default budget and the least budget the level fits both sweep
+                for budget in (10 ** 6, k ** n):
+                    swept.clear()
+                    assert orbit_results(gens, g, ray, n, budget) == want
+                    assert swept and set(swept) == {n}
+                patch.setattr(schreier, "level_action", no_level_sweep)
+                # one vertex short of the level walks; the start vertex is never charged
+                if len(verts) < k ** n or n == 0:
+                    assert orbit_results(gens, g, ray, n, k ** n - 1) == want
+                else:
+                    with pytest.raises(BudgetExceeded):
+                        orbit(gens, v, k ** n - 1)
+
+
+@pytest.mark.parametrize("names", ("b", "bc", "abcd"))
+def test_orbits_on_both_paths_on_grigorchuk(names):
+    gens = entry("grigorchuk").generators
+    for g in gens.values():
+        assert_orbits_on_both_paths({x: gens[x] for x in names}, g, range(7))
+
+
+@st.composite
+def orbit_cases(draw):
+    """One or two generators and a machine g, on one alphabet."""
+    k = draw(st.sampled_from((2, 3)))
+    names = draw(st.sampled_from(("a", "ab")))
+    gens = {name: Automorphism.from_states(k, *draw(machines(k))) for name in names}
+    return gens, Automorphism.from_states(k, *draw(machines(k)))
+
+
+@PROPERTIES
+@given(orbit_cases())
+def test_orbits_on_both_paths_on_drawn_machines(case):
+    assert_orbits_on_both_paths(*case, range(7))
 
 
 # -- the keyed word walk -------------------------------------------------------

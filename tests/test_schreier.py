@@ -2,10 +2,11 @@ from fractions import Fraction
 
 import pytest
 
-from treeauto.activity import theta_relative
+from treeauto.activity import theta, theta_relative
 from treeauto import schreier
 from treeauto.catalog import entry
-from treeauto.core import BoundaryPoint, BudgetExceeded
+from treeauto.cli import main
+from treeauto.core import Automorphism, BoundaryPoint, BudgetExceeded
 from treeauto.schreier import (
     folner_candidate,
     gamma_prime_components,
@@ -152,6 +153,63 @@ def test_deep_level_is_refused_before_any_sweep(monkeypatch):
     monkeypatch.setattr(schreier, "level_action", _no_level_sweep)
     with pytest.raises(BudgetExceeded, match="level 40 has"):
         folner_candidate(entry("grigorchuk").generators, 40)
+
+
+def test_theta_relative_checks_alphabets_before_any_orbit_work(monkeypatch):
+    # a ternary g read against binary level rows would count the wrong vertices
+    monkeypatch.setattr(schreier, "level_action", _no_level_sweep)
+    monkeypatch.setattr(schreier, "orbit", lambda *args, **kwargs: pytest.fail("orbit called"))
+    gens = entry("grigorchuk").generators
+    ternary = entry("gupta_sidki_3").generators["a"]
+    with pytest.raises(ValueError, match="g and the generators act on different alphabets"):
+        theta_relative(gens, ternary, BoundaryPoint.parse(":0"), 3)
+
+
+@pytest.fixture
+def walks(monkeypatch):
+    """The vertices Automorphism._walk is called on, in call order."""
+    calls = []
+    walk = Automorphism._walk
+
+    def counted(self, v):
+        calls.append(v)
+        return walk(self, v)
+
+    monkeypatch.setattr(Automorphism, "_walk", counted)
+    return calls
+
+
+def test_a_level_that_fits_the_budget_is_swept_not_walked(walks):
+    gens = entry("grigorchuk").generators
+    assert len(schreier_graph(gens, (0,) * 10).vertices) == 2 ** 10
+    assert walks == []
+    # the orbit is the whole level, so every active vertex of b counts
+    assert theta_relative(gens, gens["b"], BoundaryPoint.parse(":0"), 12) == theta(gens["b"], 12)
+    assert walks == []
+
+
+def test_a_level_over_the_budget_walks_each_vertex_once(walks):
+    b = {"b": entry("grigorchuk").generators["b"]}
+    assert orbit(b, (1,) * 40) == ((1,) * 40,)
+    assert walks == [(1,) * 40]
+
+
+def test_schreier_budget_report_is_unchanged(capsys):
+    assert main(["schreier", "-f", "adding_machine", "000", "--budget", "3"]) == 2
+    assert capsys.readouterr().out == (
+        "{\n"
+        '  "budget": "vertices",\n'
+        '  "detail": "orbit budget of 3 vertices exhausted",\n'
+        '  "error": "budget exceeded",\n'
+        '  "limit": 3,\n'
+        '  "partial": [\n'
+        '    "000",\n'
+        '    "100",\n'
+        '    "111"\n'
+        "  ],\n"
+        '  "spent": 4\n'
+        "}\n"
+    )
 
 
 LEVEL_ENTRY_POINTS = (
