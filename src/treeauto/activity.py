@@ -10,6 +10,13 @@ of the nontrivial-state graph then decides everything else:
     walk meeting c of them      polynomial of degree c - 1
   * a state on two cycles    -> exponential
 
+classify_activity, directions and is_bounded_closed_under_product all read
+one analysis of that graph (_structure), made once per element: its
+components with their internal edge counts, the most cycles a walk from
+each component can meet, and the depth of every state that reaches no
+cycle.  A state keeps acting along some ray exactly when its component
+meets a cycle, and the off-direction depth is the largest of those depths.
+
 Measures here are exact rationals throughout; nothing is floated.
 """
 
@@ -19,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional
 
-from .core import Automorphism, BoundaryPoint, _sccs, compose, invert, level_action
+from .core import Automorphism, BoundaryPoint, compose, invert, level_action
 
 
 def theta(g: Automorphism, n: int) -> int:
@@ -99,11 +106,84 @@ class ActivityClass:
         return out
 
 
-def _nontrivial_graph(g: Automorphism):
-    """Adjacency (with multiplicity) of the nontrivial states."""
-    nodes = list(range(1, g.state_count))
+def _sccs(nodes, succ):
+    """Strongly connected components of a state graph (succ[s] lists the
+    successors of s), each sorted, by iterative Tarjan; components come
+    out successors-first."""
+    index: dict[int, int] = {}
+    low: dict[int, int] = {}
+    onstack: set[int] = set()
+    stack: list[int] = []
+    comps: list[list[int]] = []
+    counter = 0
+    for root in nodes:
+        if root in index:
+            continue
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        onstack.add(root)
+        work = [(root, iter(succ[root]))]
+        while work:
+            node, it = work[-1]
+            advanced = False
+            for child in it:
+                if child not in index:
+                    index[child] = low[child] = counter
+                    counter += 1
+                    stack.append(child)
+                    onstack.add(child)
+                    work.append((child, iter(succ[child])))
+                    advanced = True
+                    break
+                if child in onstack:
+                    low[node] = min(low[node], index[child])
+            if advanced:
+                continue
+            work.pop()
+            if work:
+                parent = work[-1][0]
+                low[parent] = min(low[parent], low[node])
+            if low[node] == index[node]:
+                comp = []
+                while True:
+                    w = stack.pop()
+                    onstack.discard(w)
+                    comp.append(w)
+                    if w == node:
+                        break
+                comps.append(sorted(comp))
+    return comps
+
+
+def _structure(g: Automorphism):
+    """(succ, comps, comp_of, internal, best, best_succ, depth) for g's
+    nontrivial states: successors with multiplicity, components
+    successors-first, each one's internal edge count, the most cycles a
+    walk from it can meet with the successor component achieving that, and
+    the depth of each state reaching no cycle, all in one sweep."""
+    nodes = range(1, g.state_count)
     succ = {s: [t for t in g.trans[s] if t != 0] for s in nodes}
-    return nodes, succ
+    comps = _sccs(nodes, succ)
+    comp_of = {s: i for i, comp in enumerate(comps) for s in comp}
+    internal = [0] * len(comps)
+    best = [0] * len(comps)
+    best_succ: list[Optional[int]] = [None] * len(comps)
+    depth: dict[int, int] = {}
+    for i, comp in enumerate(comps):
+        for s in comp:
+            for t in succ[s]:
+                j = comp_of[t]
+                if j == i:
+                    internal[i] += 1
+                elif best[j] > (0 if best_succ[i] is None else best[best_succ[i]]):
+                    best_succ[i] = j
+        here = 1 if internal[i] else 0
+        best[i] = here + (best[best_succ[i]] if best_succ[i] is not None else 0)
+        if best[i] == 0:  # a single state, and every successor has its depth
+            (s,) = comp
+            depth[s] = 1 + max((depth[t] for t in succ[s]), default=0)
+    return succ, comps, comp_of, internal, best, best_succ, depth
 
 
 def _cycle_order(comp, succ):
@@ -121,18 +201,13 @@ def _cycle_order(comp, succ):
 
 
 def classify_activity(g: Automorphism) -> ActivityClass:
+    return _classify(g, _structure(g))
+
+
+def _classify(g: Automorphism, structure) -> ActivityClass:
     if g.is_identity():
         return ActivityClass("finitary", depth=0, witness={"depth_path": []})
-
-    nodes, succ = _nontrivial_graph(g)
-    comps = _sccs(nodes, succ)
-    comp_of = {s: i for i, comp in enumerate(comps) for s in comp}
-    internal = [0] * len(comps)
-    for s in nodes:
-        for t in succ[s]:
-            if comp_of[t] == comp_of[s]:
-                internal[comp_of[s]] += 1
-
+    succ, comps, comp_of, internal, best, best_succ, depth = structure
     for i, comp in enumerate(comps):
         if internal[i] > len(comp):
             return ActivityClass(
@@ -140,40 +215,20 @@ def classify_activity(g: Automorphism) -> ActivityClass:
                 witness={"branching_component": comp, "internal_edges": internal[i]},
             )
 
-    is_cycle = [internal[i] > 0 for i in range(len(comps))]
-
-    # comps arrive successors-first, so one sweep computes, per component,
-    # the most cycles any walk starting there can meet, and the best successor
-    best: list[int] = [0] * len(comps)
-    best_succ: list[Optional[int]] = [None] * len(comps)
-    for i, comp in enumerate(comps):
-        for s in comp:
-            for t in succ[s]:
-                j = comp_of[t]
-                if j != i and best[j] > (0 if best_succ[i] is None else best[best_succ[i]]):
-                    best_succ[i] = j
-        here = 1 if is_cycle[i] else 0
-        best[i] = here + (best[best_succ[i]] if best_succ[i] is not None else 0)
-
     start = comp_of[g.initial]
     cycles_met = best[start]
-
-    chain = []
-    i: Optional[int] = start
-    while i is not None:
-        if is_cycle[i]:
-            chain.append(_cycle_order(comps[i], succ))
-        i = best_succ[i]
-
     if cycles_met == 0:
-        depth = {s: 0 for s in nodes}
-        for comp in comps:  # successors-first, every comp a singleton here
-            (s,) = comp
-            depth[s] = 1 + max((depth[t] for t in succ[s]), default=0)
         path = [g.initial]
         while succ[path[-1]]:
             path.append(max(succ[path[-1]], key=lambda t: depth[t]))
         return ActivityClass("finitary", depth=depth[g.initial], witness={"depth_path": path})
+
+    chain = []
+    i: Optional[int] = start
+    while i is not None:
+        if internal[i]:
+            chain.append(_cycle_order(comps[i], succ))
+        i = best_succ[i]
     if cycles_met == 1:
         return ActivityClass("bounded", witness={"cycles": chain, "chain": chain})
     return ActivityClass(
@@ -198,44 +253,17 @@ class DirectionSet:
 
 
 def directions(g: Automorphism) -> DirectionSet:
-    cls = classify_activity(g)
-    if cls.kind not in ("finitary", "bounded"):
-        raise ValueError("directions need a finitary or bounded automorphism, got %s" % cls.kind)
-    if cls.kind == "finitary":
-        return DirectionSet((), cls.depth)
-
-    nodes, succ = _nontrivial_graph(g)
-    comps = _sccs(nodes, succ)
-    comp_of = {s: i for i, comp in enumerate(comps) for s in comp}
-    cycle_states = set()
-    for comp in comps:
-        edges_inside = sum(1 for s in comp for t in succ[s] if comp_of[t] == comp_of[s])
-        if edges_inside > 0:
-            cycle_states.update(comp)
-
-    live = set(cycle_states)
-    changed = True
-    while changed:
-        changed = False
-        for s in nodes:
-            if s not in live and any(t in live for t in succ[s]):
-                live.add(s)
-                changed = True
-
-    dead = [s for s in nodes if s not in live]
-    depth = {s: 0 for s in dead}
-    for comp in comps:  # successors-first; dead states never sit on cycles
-        for s in comp:
-            if s in depth:
-                depth[s] = 1 + max((depth[t] for t in succ[s] if t in depth), default=0)
-    finitary_depth = max(depth.values(), default=0)
-
+    structure = _structure(g)
+    kind = _classify(g, structure).kind
+    if kind not in ("finitary", "bounded"):
+        raise ValueError("directions need a finitary or bounded automorphism, got %s" % kind)
+    depth = structure[-1]  # exactly the states that reach no cycle
     points: set[BoundaryPoint] = set()
 
     def walk(s, path_states, letters):
         for x in range(g.k):
             t = g.trans[s][x]
-            if t == 0 or t not in live:
+            if t == 0 or t in depth:
                 continue
             if t in path_states:
                 i = path_states.index(t)
@@ -245,7 +273,7 @@ def directions(g: Automorphism) -> DirectionSet:
 
     walk(g.initial, [g.initial], [])
     ordered = sorted(points, key=lambda w: (w.preperiod, w.period))
-    return DirectionSet(tuple(ordered), finitary_depth)
+    return DirectionSet(tuple(ordered), max(depth.values(), default=0))
 
 
 # -- measures ------------------------------------------------------------------
@@ -336,22 +364,20 @@ def is_bounded_closed_under_product(g: Automorphism, h: Automorphism) -> Bounded
     classifications of g h and g^-1 and whether their off-direction depths
     stay within the larger of the inputs' depths.
     """
-    kinds = (classify_activity(g).kind, classify_activity(h).kind)
-    for kind in kinds:
+
+    def kind_and_depth(a: Automorphism) -> tuple[str, int]:
+        structure = _structure(a)
+        kind = _classify(a, structure).kind
+        bounded = kind in ("finitary", "bounded")
+        return kind, (max(structure[-1].values(), default=0) if bounded else -1)
+
+    (gk, gd), (hk, hd) = kind_and_depth(g), kind_and_depth(h)
+    for kind in (gk, hk):
         if kind not in ("finitary", "bounded"):
             raise ValueError("inputs must be finitary or bounded, got %s" % kind)
-    bound = max(directions(g).finitary_depth, directions(h).finitary_depth)
+    bound = max(gd, hd)
 
-    product = compose(g, h)
-    inverse = invert(g)
-    pk = classify_activity(product).kind
-    ik = classify_activity(inverse).kind
-    pd = directions(product).finitary_depth if pk in ("finitary", "bounded") else -1
-    idp = directions(inverse).finitary_depth if ik in ("finitary", "bounded") else -1
-    ok = (
-        pk in ("finitary", "bounded")
-        and ik in ("finitary", "bounded")
-        and pd <= bound
-        and idp <= bound
-    )
-    return BoundedClosureReport(kinds, bound, pk, pd, ik, idp, ok)
+    pk, pd = kind_and_depth(compose(g, h))
+    ik, idp = kind_and_depth(invert(g))
+    ok = 0 <= pd <= bound and 0 <= idp <= bound  # a depth of -1 marks an unbounded kind
+    return BoundedClosureReport((gk, hk), bound, pk, pd, ik, idp, ok)

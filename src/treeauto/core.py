@@ -25,7 +25,10 @@ numbering, so a product that turns out minimal, the usual case, is
 returned without renumbering.  A sub-machine of a canonical machine (the
 states one state reaches, with state 0) is minimal too, since its states
 still act pairwise differently; renumbered breadth-first it is canonical,
-so a section is read off its parent's tables with no minimization.
+so a section is read off its parent's tables with no minimization.  The
+same holds for the inverse: inverting every state of a minimal machine
+keeps its states pairwise different and reaching the same states, so only
+the numbering has to be redone.
 
 Composition is right to left throughout: (compose(g, h))(v) = g(h(v)).
 """
@@ -246,15 +249,7 @@ class Automorphism:
             return self
         if s == 0:
             return Automorphism.identity(self.k)
-        perms, trans = self.perms, self.trans
-        number, order = _numbering(trans, s)
-        return Automorphism(
-            self.k,
-            (perms[0],) + tuple([perms[t] for t in order]),
-            (trans[0],) + tuple([tuple([number[u] for u in trans[t]]) for t in order]),
-            1,
-            _raw=True,
-        )
+        return _renumbered(self.k, self.perms, self.trans, s)
 
     # -- value semantics -------------------------------------------------
 
@@ -348,14 +343,12 @@ class Automorphism:
     # -- group operations --------------------------------------------------
 
     def inverse(self) -> "Automorphism":
-        k = self.k
-        perms = [tuple(range(k))]
-        trans = [(0,) * k]
-        for s in range(1, len(self.perms)):
-            inv = _perm_inverse(self.perms[s])
-            perms.append(inv)
-            trans.append(tuple(self.trans[s][inv[x]] for x in range(k)))
-        return Automorphism._build(k, perms, trans, self.initial)
+        """The inverse, by renumbering alone (module docstring)."""
+        if self.initial == 0:
+            return self
+        perms = [_perm_inverse(p) for p in self.perms]
+        trans = [tuple([row[y] for y in inv]) for row, inv in zip(self.trans, perms)]
+        return _renumbered(self.k, perms, trans, self.initial)
 
     def __invert__(self) -> "Automorphism":
         return self.inverse()
@@ -434,6 +427,19 @@ def _numbering(trans, initial: int) -> tuple[dict, list]:
     return number, order
 
 
+def _renumbered(k: int, perms, trans, s: int) -> Automorphism:
+    """The automorphism at state s != 0 of a minimal machine's tables,
+    its states numbered breadth-first as in the module docstring."""
+    number, order = _numbering(trans, s)
+    return Automorphism(
+        k,
+        (perms[0],) + tuple([perms[t] for t in order]),
+        (trans[0],) + tuple([tuple([number[u] for u in trans[t]]) for t in order]),
+        1,
+        _raw=True,
+    )
+
+
 def _canonical(k: int, perms: list, cols: list) -> Automorphism:
     """The canonical form of a machine numbered as in the module docstring.
 
@@ -467,56 +473,6 @@ def _canonical(k: int, perms: list, cols: list) -> Automorphism:
     new_perms = (perms[0],) + tuple(perms[s] for s in reps)
     new_trans = ((0,) * k,) + tuple(tuple(number[ids[col[s]]] for col in cols) for s in reps)
     return Automorphism(k, new_perms, new_trans, 1, _raw=True)
-
-
-def _sccs(nodes, succ):
-    """Strongly connected components of a state graph (succ[s] lists the
-    successors of s), each sorted, by iterative Tarjan; components come
-    out successors-first."""
-    index: dict[int, int] = {}
-    low: dict[int, int] = {}
-    onstack: set[int] = set()
-    stack: list[int] = []
-    comps: list[list[int]] = []
-    counter = 0
-    for root in nodes:
-        if root in index:
-            continue
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        onstack.add(root)
-        work = [(root, iter(succ[root]))]
-        while work:
-            node, it = work[-1]
-            advanced = False
-            for child in it:
-                if child not in index:
-                    index[child] = low[child] = counter
-                    counter += 1
-                    stack.append(child)
-                    onstack.add(child)
-                    work.append((child, iter(succ[child])))
-                    advanced = True
-                    break
-                if child in onstack:
-                    low[node] = min(low[node], index[child])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    onstack.discard(w)
-                    comp.append(w)
-                    if w == node:
-                        break
-                comps.append(sorted(comp))
-    return comps
 
 
 def invert(g: Automorphism) -> Automorphism:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from .core import Automorphism
+from .core import Automorphism, _alphabet
 
 
 class MachineParseError(ValueError):
@@ -159,12 +159,7 @@ def dump_machine(gens: Mapping[str, Automorphism]) -> str:
     name, the rest are named q1, q2, ... in discovery order, so the output
     is deterministic and parse_machine(dump_machine(g)) == g.
     """
-    if not gens:
-        raise ValueError("nothing to dump")
-    ks = {g.k for g in gens.values()}
-    if len(ks) > 1:
-        raise ValueError("generators live on different alphabets: %s" % sorted(ks))
-    k = ks.pop()
+    k = _alphabet(gens)
 
     names: dict[Automorphism, str] = {Automorphism.identity(k): "e"}
     aliases: list[tuple[str, Automorphism]] = []

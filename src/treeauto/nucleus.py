@@ -3,8 +3,12 @@
 The deep sections of one automorphism are easy to read off its machine:
 a state holds a section at arbitrarily large depths exactly when it is
 reachable from a state lying on a directed cycle (state 0 counts, via its
-self-loops, as soon as it is reachable).  limit_states returns those
-sections as values.
+self-loops, as soon as it is reachable).  limit_states finds them by
+peeling: one breadth-first walk counts the in-degree of every reachable
+state, self-loops included, and states of in-degree 0 are removed, with
+their out-edges, until none is left.  A peeled state has only peeled
+predecessors, so it lies on no cycle and below none; the states that
+survive are exactly the limit states.
 
 The nucleus closure starts from the identity and the deep sections of the
 generators and their inverses, then repeatedly folds in the deep sections
@@ -29,8 +33,8 @@ from .core import (
     Automorphism,
     BoundaryPoint,
     BudgetExceeded,
+    _alphabet,
     _reduced_words,
-    _sccs,
     apply_boundary,
     compose,
     identity,
@@ -41,31 +45,25 @@ from .words import Word
 
 
 def limit_states(g: Automorphism) -> set[Automorphism]:
-    """Sections of g that occur at arbitrarily large depths."""
-    reach = {g.initial}
-    stack = [g.initial]
-    while stack:
-        s = stack.pop()
+    """Sections of g that occur at arbitrarily large depths (module docstring)."""
+    indegree = {g.initial: 0}
+    order = [g.initial]
+    for s in order:  # the list grows while it is walked
         for t in g.trans[s]:
-            if t not in reach:
-                reach.add(t)
-                stack.append(t)
-    nodes = sorted(reach)
-    succ = {s: [t for t in g.trans[s]] for s in nodes}
-    on_cycle = set()
-    for comp in _sccs(nodes, succ):
-        inside = sum(1 for s in comp for t in succ[s] if t in comp)
-        if inside > 0:
-            on_cycle.update(comp)
-    out = set(on_cycle)
-    stack = list(on_cycle)
-    while stack:
-        s = stack.pop()
-        for t in g.trans[s]:
-            if t not in out:
-                out.add(t)
-                stack.append(t)
-    return {g._with_initial(s) for s in out}
+            if t in indegree:
+                indegree[t] += 1
+            else:
+                indegree[t] = 1
+                order.append(t)
+    peel = [s for s in order if indegree[s] == 0]
+    while peel:
+        for t in g.trans[peel.pop()]:
+            indegree[t] -= 1
+            if indegree[t] == 0:
+                peel.append(t)
+    # built in state order, which fixes the order in which nucleus meets new
+    # elements and so which of them make up an exceeded partial set
+    return {g._with_initial(s) for s in sorted(order) if indegree[s]}
 
 
 @dataclass(frozen=True)
@@ -93,11 +91,9 @@ def nucleus(
     max_size: int = 64,
     max_depth: int = 16,
 ) -> NucleusResult:
-    if not gens:
-        raise ValueError("need at least one generator")
+    k = _alphabet(gens)
     if max_size < 1 or max_depth < 1:
         raise ValueError("max_size and max_depth must be at least 1")
-    k = next(iter(gens.values())).k
     N: set[Automorphism] = {identity(k)}
     for g in gens.values():
         N |= limit_states(g)

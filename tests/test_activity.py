@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from treeauto import activity
 from treeauto.activity import (
     classify_activity,
     directions,
@@ -232,3 +233,28 @@ def test_bounded_closure_report():
 
     with pytest.raises(ValueError):
         is_bounded_closed_under_product(entry("tullio").generators["b"], bas["a"])
+
+
+@pytest.fixture
+def scc_calls(monkeypatch):
+    """The list that every activity._sccs call appends to."""
+    sccs = activity._sccs
+    calls = []
+
+    def counting_sccs(nodes, succ):
+        calls.append(None)
+        return sccs(nodes, succ)
+
+    monkeypatch.setattr(activity, "_sccs", counting_sccs)
+    return calls
+
+
+def test_each_machine_is_analysed_once(scc_calls):
+    bas = entry("basilica").generators
+    directions(bas["a"])
+    # classifying and then finding directions analysed it twice
+    assert len(scc_calls) == 1
+    del scc_calls[:]
+    assert is_bounded_closed_under_product(bas["a"], bas["b"]).ok
+    # one analysis each for g, h, g h and g^-1; twelve before
+    assert len(scc_calls) == 4

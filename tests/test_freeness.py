@@ -13,7 +13,8 @@ from treeauto.freeness import (
     kernel_witness_power,
     stabilizer_search,
 )
-from treeauto.nucleus import ball
+from treeauto.machine_io import dump_machine
+from treeauto.nucleus import ball, nucleus
 from treeauto.words import Word
 
 
@@ -202,8 +203,18 @@ def test_free_certificate_rejects_negative_max_len():
         lambda gens: find_relations(gens, 4),
         lambda gens: ball(gens, 2),
         lambda gens: free_subgroup_certificate(gens, "a", "b", 3),
+        lambda gens: nucleus(gens, max_size=2),
+        lambda gens: nucleus(gens),
+        lambda gens: dump_machine(gens),
     ],
-    ids=["find_relations", "ball", "free_subgroup_certificate"],
+    ids=[
+        "find_relations",
+        "ball",
+        "free_subgroup_certificate",
+        "nucleus_exceeded",
+        "nucleus",
+        "dump_machine",
+    ],
 )
 def test_word_walks_reject_mixed_alphabets(call):
     binary, ternary = entry("aleshin").generators, entry("gupta_sidki_3").generators

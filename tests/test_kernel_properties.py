@@ -14,11 +14,16 @@ vertex-by-vertex walk.
 
 Sections read off by renumbering alone (Automorphism._with_initial) must
 equal the canonicalizing build of the same state, on drawn machines and on
-catalog words.
+catalog words; inverses, also renumbered alone, must be canonical there.
 
 The keyed word walk (core._distinct_words) must give the exact walk's
 sequence word for word, as built and forced onto each of its fallbacks,
 and the two searches on it must give the reports frozen from the exact walk.
+
+Limit states found by peeling must be the states met at every large
+depth, and the one state-graph analysis that the activity module shares
+must give the classifications, direction sets and closure reports of the
+earlier analyses, one graph pass per question, kept here as a reference.
 """
 
 import itertools
@@ -31,7 +36,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treeauto import core, schreier
-from treeauto.activity import theta, theta_relative
+from treeauto.activity import (
+    ActivityClass,
+    BoundedClosureReport,
+    DirectionSet,
+    _cycle_order,
+    _sccs,
+    classify_activity,
+    directions,
+    is_bounded_closed_under_product,
+    theta,
+    theta_relative,
+)
 from treeauto.catalog import builtin, entry
 from treeauto.core import (
     Automorphism,
@@ -50,6 +66,7 @@ from treeauto.freeness import (
     find_relations,
     free_subgroup_certificate,
 )
+from treeauto.nucleus import limit_states
 from treeauto.schreier import (
     ComponentSummary,
     FolnerReport,
@@ -183,6 +200,8 @@ def test_with_initial_on_catalog_words(family):
     for _, value, known in _reduced_words(letters, 3, {}):
         if known is None:
             assert_sections_by_renumbering(value)
+            assert_canonical(value.inverse())
+            assert compose(value, value.inverse()).is_identity()
 
 
 @PROPERTIES
@@ -574,3 +593,173 @@ def test_searches_give_the_frozen_reports(variant):
             )
             assert partial == TrichotomyEvidence("free_up_to", (u, v), checked)
     assert_fallbacks_ran(variant, seen)
+
+
+# -- state graphs: limit states and activity -----------------------------------
+
+
+def deep_sections(g: Automorphism) -> set:
+    """The sections at the states of exact depth d, for d in [2m, 3m).
+
+    With m states, a state met at depth m or more lies on or below a cycle,
+    and a state on or below a cycle is met at some depth in any window of m
+    consecutive depths from 2m on (stem and tail take under m steps each, a
+    cycle at most m), so these are exactly the limit states.
+    """
+    m = g.state_count
+    layer, deep = {g.initial}, set()
+    for d in range(3 * m):
+        if d >= 2 * m:
+            deep |= layer
+        layer = {t for s in layer for t in g.trans[s]}
+    return {g._with_initial(s) for s in deep}
+
+
+def reference_classify(g: Automorphism) -> ActivityClass:
+    """classify_activity as it was before the shared analysis."""
+    if g.is_identity():
+        return ActivityClass("finitary", depth=0, witness={"depth_path": []})
+    nodes = list(range(1, g.state_count))
+    succ = {s: [t for t in g.trans[s] if t != 0] for s in nodes}
+    comps = _sccs(nodes, succ)
+    comp_of = {s: i for i, comp in enumerate(comps) for s in comp}
+    internal = [0] * len(comps)
+    for s in nodes:
+        for t in succ[s]:
+            if comp_of[t] == comp_of[s]:
+                internal[comp_of[s]] += 1
+    for i, comp in enumerate(comps):
+        if internal[i] > len(comp):
+            return ActivityClass(
+                "exponential",
+                witness={"branching_component": comp, "internal_edges": internal[i]},
+            )
+    is_cycle = [internal[i] > 0 for i in range(len(comps))]
+    best = [0] * len(comps)
+    best_succ = [None] * len(comps)
+    for i, comp in enumerate(comps):
+        for s in comp:
+            for t in succ[s]:
+                j = comp_of[t]
+                if j != i and best[j] > (0 if best_succ[i] is None else best[best_succ[i]]):
+                    best_succ[i] = j
+        here = 1 if is_cycle[i] else 0
+        best[i] = here + (best[best_succ[i]] if best_succ[i] is not None else 0)
+    start = comp_of[g.initial]
+    cycles_met = best[start]
+    chain = []
+    i = start
+    while i is not None:
+        if is_cycle[i]:
+            chain.append(_cycle_order(comps[i], succ))
+        i = best_succ[i]
+    if cycles_met == 0:
+        depth = {s: 0 for s in nodes}
+        for comp in comps:
+            (s,) = comp
+            depth[s] = 1 + max((depth[t] for t in succ[s]), default=0)
+        path = [g.initial]
+        while succ[path[-1]]:
+            path.append(max(succ[path[-1]], key=lambda t: depth[t]))
+        return ActivityClass("finitary", depth=depth[g.initial], witness={"depth_path": path})
+    if cycles_met == 1:
+        return ActivityClass("bounded", witness={"cycles": chain, "chain": chain})
+    return ActivityClass(
+        "polynomial", degree=cycles_met - 1, witness={"cycles": chain, "chain": chain}
+    )
+
+
+def reference_directions(g: Automorphism) -> DirectionSet:
+    """directions as it was before the shared analysis: a live-state
+    fixpoint and a depth recursion of its own."""
+    cls = reference_classify(g)
+    if cls.kind not in ("finitary", "bounded"):
+        raise ValueError("directions need a finitary or bounded automorphism, got %s" % cls.kind)
+    if cls.kind == "finitary":
+        return DirectionSet((), cls.depth)
+    nodes = list(range(1, g.state_count))
+    succ = {s: [t for t in g.trans[s] if t != 0] for s in nodes}
+    comps = _sccs(nodes, succ)
+    comp_of = {s: i for i, comp in enumerate(comps) for s in comp}
+    live = set()
+    for comp in comps:
+        if any(comp_of[t] == comp_of[s] for s in comp for t in succ[s]):
+            live.update(comp)
+    changed = True
+    while changed:
+        changed = False
+        for s in nodes:
+            if s not in live and any(t in live for t in succ[s]):
+                live.add(s)
+                changed = True
+    depth = {s: 0 for s in nodes if s not in live}
+    for comp in comps:
+        for s in comp:
+            if s in depth:
+                depth[s] = 1 + max((depth[t] for t in succ[s] if t in depth), default=0)
+    points = set()
+
+    def walk(s, path_states, letters):
+        for x in range(g.k):
+            t = g.trans[s][x]
+            if t == 0 or t not in live:
+                continue
+            if t in path_states:
+                i = path_states.index(t)
+                points.add(BoundaryPoint(tuple(letters[:i]), tuple(letters[i:] + [x])))
+            else:
+                walk(t, path_states + [t], letters + [x])
+
+    walk(g.initial, [g.initial], [])
+    ordered = sorted(points, key=lambda w: (w.preperiod, w.period))
+    return DirectionSet(tuple(ordered), max(depth.values(), default=0))
+
+
+def reference_closure(g: Automorphism, h: Automorphism) -> BoundedClosureReport:
+    """is_bounded_closed_under_product on the reference analyses."""
+    kinds = (reference_classify(g).kind, reference_classify(h).kind)
+    for kind in kinds:
+        if kind not in ("finitary", "bounded"):
+            raise ValueError("inputs must be finitary or bounded, got %s" % kind)
+    bound = max(reference_directions(g).finitary_depth, reference_directions(h).finitary_depth)
+    product, inverse = compose(g, h), g.inverse()
+    pk, ik = reference_classify(product).kind, reference_classify(inverse).kind
+    bounded = ("finitary", "bounded")
+    pd = reference_directions(product).finitary_depth if pk in bounded else -1
+    idp = reference_directions(inverse).finitary_depth if ik in bounded else -1
+    ok = pk in bounded and ik in bounded and pd <= bound and idp <= bound
+    return BoundedClosureReport(kinds, bound, pk, pd, ik, idp, ok)
+
+
+def outcome(call, *args):
+    """The value of call(*args), or the text of the ValueError it raises."""
+    try:
+        return call(*args)
+    except ValueError as err:
+        return ("ValueError", str(err))
+
+
+def assert_state_graphs(g: Automorphism):
+    assert limit_states(g) == deep_sections(g)
+    assert classify_activity(g) == reference_classify(g)
+    assert outcome(directions, g) == outcome(reference_directions, g)
+
+
+@PROPERTIES
+@given(triples())
+def test_state_graphs_on_drawn_machines(drawn):
+    g, h, f = drawn[1]
+    for a in (g, h, f, compose(g, h)):
+        assert_state_graphs(a)
+    for a, b in ((g, h), (h, f)):
+        assert outcome(is_bounded_closed_under_product, a, b) == outcome(reference_closure, a, b)
+
+
+@pytest.mark.parametrize("family", sorted(builtin()))
+def test_state_graphs_on_catalog_words(family):
+    letters = symmetric_letters(builtin()[family].generators)
+    values = [value for _, value, known in _reduced_words(letters, 3, {}) if known is None]
+    for value in values:
+        assert_state_graphs(value)
+    for a, b in zip(values, values[1:]):
+        assert outcome(is_bounded_closed_under_product, a, b) == outcome(reference_closure, a, b)
