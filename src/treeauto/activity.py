@@ -31,14 +31,16 @@ from .core import Automorphism, BoundaryPoint, compose, invert, level_action
 
 def theta(g: Automorphism, n: int) -> int:
     """The number of level-n vertices with nontrivial section."""
+    return theta_sequence(g, n)[-1]
+
+
+def theta_sequence(g: Automorphism, n: int) -> list[int]:
+    """theta(g, i) for i = 0..n, from one walk of the path counts."""
     if n < 0:
         raise ValueError("level must be nonnegative")
-    return _theta(g, n)
-
-
-def _theta(g: Automorphism, n: int) -> int:
     counts = [0] * g.state_count
     counts[g.initial] = 1
+    out = [sum(counts) - counts[0]]
     for _ in range(n):
         nxt = [0] * g.state_count
         for s, c in enumerate(counts):
@@ -46,14 +48,8 @@ def _theta(g: Automorphism, n: int) -> int:
                 for t in g.trans[s]:
                     nxt[t] += c
         counts = nxt
-    return sum(c for s, c in enumerate(counts) if s != 0)
-
-
-def theta_sequence(g: Automorphism, n: int) -> list[int]:
-    """theta(g, i) for i = 0..n."""
-    if n < 0:
-        raise ValueError("level must be nonnegative")
-    return [theta(g, i) for i in range(n + 1)]
+        out.append(sum(counts) - counts[0])
+    return out
 
 
 def theta_relative(
@@ -72,7 +68,7 @@ def theta_relative(
         raise ValueError("g and the generators act on different alphabets")
     keys = _orbit(gens, seed.prefix(n), budget)[3]
     if len(keys) == g.k ** n:
-        return _theta(g, n)
+        return theta_sequence(g, n)[-1]
     if isinstance(keys[0], int):  # a swept level: the keys index g's level row
         states = level_action(g, n)[1]
         return sum(1 for u in keys if states[u] != 0)
@@ -257,21 +253,30 @@ def directions(g: Automorphism) -> DirectionSet:
     kind = _classify(g, structure).kind
     if kind not in ("finitary", "bounded"):
         raise ValueError("directions need a finitary or bounded automorphism, got %s" % kind)
-    depth = structure[-1]  # exactly the states that reach no cycle
+    _, _, comp_of, internal, _, _, depth = structure
     points: set[BoundaryPoint] = set()
-
-    def walk(s, path_states, letters):
-        for x in range(g.k):
-            t = g.trans[s][x]
-            if t == 0 or t in depth:
-                continue
-            if t in path_states:
-                i = path_states.index(t)
-                points.add(BoundaryPoint(tuple(letters[:i]), tuple(letters[i:] + [x])))
-            else:
-                walk(t, path_states + [t], letters + [x])
-
-    walk(g.initial, [g.initial], [])
+    # a bounded element's live states (those reaching a cycle) form paths
+    # into cycles it cannot leave: each path into a cycle, then once round
+    # it, is one direction; one letter list serves every path, cut back
+    # to each stacked state's depth
+    letters: list[int] = []
+    stack = [(0, None, g.initial)] if kind == "bounded" else []
+    while stack:
+        n, x, s = stack.pop()
+        del letters[n:]
+        if x is not None:
+            letters.append(x)
+        cycle = comp_of[s]
+        if internal[cycle]:
+            period, t = [], s
+            while not period or t != s:
+                period.append(next(y for y, u in enumerate(g.trans[t]) if comp_of.get(u) == cycle))
+                t = g.trans[t][period[-1]]
+            points.add(BoundaryPoint(tuple(letters), tuple(period)))
+            continue
+        for y, t in enumerate(g.trans[s]):
+            if t != 0 and t not in depth:
+                stack.append((len(letters), y, t))
     ordered = sorted(points, key=lambda w: (w.preperiod, w.period))
     return DirectionSet(tuple(ordered), max(depth.values(), default=0))
 
@@ -338,9 +343,7 @@ def singular_measure(g: Automorphism) -> Fraction:
 
 def empirical_measure_sequence(g: Automorphism, n: int) -> list[Fraction]:
     """theta(g, i) / k^i for i = 0..n; nonincreasing, limit singular_measure(g)."""
-    if n < 0:
-        raise ValueError("level must be nonnegative")
-    return [Fraction(theta(g, i), g.k ** i) for i in range(n + 1)]
+    return [Fraction(t, g.k ** i) for i, t in enumerate(theta_sequence(g, n))]
 
 
 # -- closure of the bounded class ----------------------------------------------

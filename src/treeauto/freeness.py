@@ -5,13 +5,13 @@ generator, plus a formal inverse letter for each generator that is not an
 involution.  Only opposite signs cancel, so for an involution b the word
 b b is a legitimate (and typically the first) relator.
 
-find_relations has a fast path and an exact path.  When no generator is
+find_relations has a fast path and two exact paths.  When no generator is
 trivial or an involution, injectivity of evaluation on all words of half
 the requested length already rules out every relator: a cyclically
 reduced relator w = u v would force the distinct half-words u and the
 formal inverse of v to evaluate equally.  Involutions break that argument
 (u and the inverse respelling of v can be the same word), so their
-presence forces the exact search.
+presence forces an exact search.
 
 The fast path and free_subgroup_certificate only ask whether two words
 collide, so they walk core._distinct_words: words are told apart by their
@@ -21,18 +21,31 @@ action is checked by composing both words, so a collision is reported
 only when the values are equal, and the walk reports the same words, in
 the same order, as one that composed once per word.
 
-The exact search is a depth-first walk over reduced words that shares its
-products by value: one table per call maps (prefix value, letter) to the
-product, so in a contracting group, where the words take few distinct
-values, compose runs once per value and letter instead of once per word.
-The last letter costs no product at all, since u x is trivial exactly when
-u equals x^-1.
+Both exact paths take their products from one table per call that maps
+(prefix value, letter) to the product, so in a contracting group, where
+the words take few distinct values, compose runs once per value and
+letter instead of once per word.  The depth-first search walks the reduced
+words, records the trivial ones and prunes their extensions; its last
+letter costs no product, since u x is trivial exactly when u equals x^-1.
+It reaches each reduced word of length 1..max_len at most once, so when
+the budget left after the fast path covers all of them it cannot run out,
+and find_relations reads the relators off half-length value classes
+instead: a reduced word of length l is trivial exactly when its first
+ceil(l/2) letters u and the formal inverse v of the rest evaluate equally,
+so grouping the reduced words up to half the length by value gives every
+trivial reduced word once, as a pair (u, v) in one class, with one product
+per short word.  A trivial word is listed under the search's rule
+(cyclically reduced, no rotation with a trivial proper prefix), read off
+that set with no products.  A budget that could run out keeps the
+depth-first search, whose partial report and spend are those of a search
+that composed once per word.
 
 Budgets: find_relations counts words reached, one per word extension,
 table hits and last-letter tests included, one count shared by the fast
-path and the exact search; free_subgroup_certificate counts words reached
-as well.  Both counts equalled the compositions of a search that composed
-once per word, and neither changed when the searches stopped doing so.
+path and the depth-first search; free_subgroup_certificate counts words
+reached as well.  Both counts equalled the compositions of a search that
+composed once per word, and neither changed when the searches stopped
+doing so.
 stabilizer_search and germ_faithfulness_probe hand their budget to ball,
 which counts distinct elements.
 """
@@ -102,7 +115,7 @@ class _RelatorSet:
         )
 
 
-# the exact search's product table holds at most this many machine states,
+# the exact paths' product table holds at most this many machine states,
 # keys included (about 40 MB); products that do not fit are recomputed
 _PRODUCT_TABLE_STATES = 1 << 18
 
@@ -115,7 +128,6 @@ def find_relations(
     steps = symmetric_letters(gens)
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
-    e = identity(next(iter(gens.values())).k)
     spent = 0
 
     shortcut_ok = all(
@@ -135,15 +147,29 @@ def find_relations(
         else:
             return RelationReport(max_len, (), True)
 
-    # exact search: depth-first over the word universe, recording trivial
-    # words and pruning their extensions (those factor through the prefix);
-    # products come from one table per call, and the last letter takes none
-    found = _RelatorSet()
+    # the search spends one per reduced word at most, so when all of them
+    # fit the budget it cannot run out, and the half-length classes answer
+    if spent + _reduced_word_count(steps, max_len) <= budget:
+        return _relators_from_classes(steps, max_len)
+    return _relators_from_search(steps, max_len, spent, budget)
+
+
+def _reduced_word_count(steps, max_len: int) -> int:
+    """The number of reduced words of length 1..max_len over the letters."""
+    letters = [letter for letter, _ in steps]
+    ending = dict.fromkeys(letters, 1)  # words of the current length by last letter
+    count = 0
+    for _ in range(max_len):
+        words = sum(ending.values())
+        count += words
+        # an involution's letter has no inverse letter, so nothing cancels it
+        ending = {x: words - ending.get((x[0], -x[1]), 0) for x in letters}
+    return count
+
+
+def _product_table(steps):
+    """times(elem, letter), the product elem * letter from one table per call."""
     step_by_letter = dict(steps)
-    # an involution has no inverse letter; it is its own inverse
-    inverse_of = {
-        letter: step_by_letter.get((letter[0], -letter[1]), g) for letter, g in steps
-    }
     products: dict[tuple, Automorphism] = {}
     room = _PRODUCT_TABLE_STATES
 
@@ -157,6 +183,22 @@ def find_relations(
                 room -= size
                 products[elem, letter] = value
         return value
+
+    return times
+
+
+def _relators_from_search(steps, max_len: int, spent: int, budget: int) -> RelationReport:
+    """The exact search, depth-first over the word universe: it records
+    trivial words and prunes their extensions (those factor through the
+    prefix), and raises BudgetExceeded past budget words reached."""
+    found = _RelatorSet()
+    times = _product_table(steps)
+    step_by_letter = dict(steps)
+    # an involution has no inverse letter; it is its own inverse
+    inverse_of = {
+        letter: step_by_letter.get((letter[0], -letter[1]), g) for letter, g in steps
+    }
+    e = identity(steps[0][1].k)
 
     def record(letters: tuple):
         if not Word(letters).is_cyclically_reduced():
@@ -197,6 +239,51 @@ def find_relations(
                 dfs(letters + (letter,), times(elem, letter), depth + 1)
 
     dfs((), e, 0)
+    return RelationReport(max_len, found.sorted(), True)
+
+
+def _relators_from_classes(steps, max_len: int) -> RelationReport:
+    """The exact search's relators, read off the values of words of half the
+    length: a reduced word u v^-1 is trivial exactly when u and v are equal."""
+    letters = [letter for letter, _ in steps]
+    inverse = {x: (x[0], -x[1]) if (x[0], -x[1]) in letters else x for x in letters}
+    times = _product_table(steps)
+    # the reduced words up to half the length, by value and length
+    e = identity(steps[0][1].k)
+    layer = [((), e)]
+    words_of = {(e, 0): [()]}
+    for m in range(1, (max_len + 1) // 2 + 1):
+        layer = [
+            (word + (x,), times(value, x))
+            for word, value in layer
+            for x in letters
+            if not word or word[-1] != (x[0], -x[1])
+        ]
+        for word, value in layer:
+            words_of.setdefault((value, m), []).append(word)
+
+    # each trivial reduced word of length <= max_len splits once as u v^-1
+    # with |u| = m >= 1 and |v| = m or m - 1
+    trivial = set()
+    for (value, m), us in words_of.items():
+        if not m:
+            continue
+        for v in words_of.get((value, m - 1), []) + (us if 2 * m <= max_len else []):
+            tail = tuple(inverse[x] for x in reversed(v))
+            for u in us:
+                if not tail or u[-1] != (tail[0][0], -tail[0][1]):
+                    trivial.add(u + tail)
+
+    # the search's rule: cyclically reduced, and no rotation with a
+    # trivial proper prefix
+    found = _RelatorSet()
+    for word in trivial:
+        n = len(word)
+        twice = word + word
+        if Word(word).is_cyclically_reduced() and not any(
+            twice[r:r + i] in trivial for r in range(n) for i in range(1, n)
+        ):
+            found.add(word)
     return RelationReport(max_len, found.sorted(), True)
 
 

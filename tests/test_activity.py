@@ -40,6 +40,19 @@ def mirror(k=2):
     return Automorphism.from_states(k, {"g": (perm, ("g",) * k)}, "g")
 
 
+def test_level_sequences_are_theta_at_every_level():
+    for family in ("adding_machine", "tullio", "grigorchuk", "basilica", "gupta_sidki_3", "aleshin"):
+        for g in entry(family).generators.values():
+            seq = theta_sequence(g, 12)
+            assert seq == [theta(g, i) for i in range(13)]
+            assert empirical_measure_sequence(g, 12) == [
+                Fraction(t, g.k ** i) for i, t in enumerate(seq)
+            ]
+    for call in (theta, theta_sequence, empirical_measure_sequence):
+        with pytest.raises(ValueError, match="level must be nonnegative"):
+            call(identity(2), -1)
+
+
 def test_theta_against_brute_force():
     cases = []
     for name in ("adding_machine", "tullio", "grigorchuk", "basilica", "aleshin"):
@@ -160,6 +173,21 @@ def test_directions_are_where_sections_stay_alive():
         for p in d.points:
             for n in (3, 6, 11):
                 assert not section(g, p.prefix(n)).is_identity()
+
+
+def test_directions_of_a_cycle_longer_than_the_recursion_limit():
+    # s_i = (s_{i+1}, e) with the root swap at s_0, and s_1199 back to s_0
+    n = 1200
+    states = {
+        "s%d" % i: ((1, 0) if i == 0 else (0, 1), ("s%d" % ((i + 1) % n), "e"))
+        for i in range(n)
+    }
+    g = Automorphism.from_states(2, states, "s0")
+    assert g.state_count == n + 1
+    assert classify_activity(g).kind == "bounded"
+    d = directions(g)
+    assert d.points == (BoundaryPoint((), (0,)),)
+    assert d.finitary_depth == 0
 
 
 def test_directions_reject_unbounded():

@@ -19,9 +19,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treeauto import freeness
+from treeauto import core, freeness
 from treeauto.catalog import entry
-from treeauto.core import Automorphism, BudgetExceeded, evaluate_word
+from treeauto.core import Automorphism, BudgetExceeded, evaluate_word, symmetric_letters
 from treeauto.freeness import RelationReport, find_relations
 from treeauto.words import Word
 
@@ -198,9 +198,14 @@ def test_relator_search_shares_products(monkeypatch):
         return compose(g, h)
 
     monkeypatch.setattr(freeness, "compose", counting_compose)
-    rep = find_relations(entry("grigorchuk").generators, 6)
+    gens = entry("grigorchuk").generators
+    rep = find_relations(gens, 6)
     assert len(rep.relators) == 9
+    assert len(calls) <= 50
+    # the depth-first search, which a budget that could run out keeps:
     # composing once per word reached took 4,601 products here
+    calls.clear()
+    assert freeness._relators_from_search(symmetric_letters(gens), 6, 0, 10 ** 6) == rep
     assert len(calls) <= 300
 
 
@@ -216,7 +221,58 @@ def test_a_full_product_table_only_costs_products(monkeypatch):
 
     monkeypatch.setattr(freeness, "compose", counting_compose)
     monkeypatch.setattr(freeness, "_PRODUCT_TABLE_STATES", 0)
-    assert find_relations(gens, 5) == expected
+    # 836 words reached complete the search, and under the 1,364 reduced
+    # words the budget keeps it depth-first
+    assert find_relations(gens, 5, budget=1000) == expected
     assert len(calls) > 300
     for budget, relators in GRIGORCHUK_5_PARTIALS.items():
         assert tuple(map(str, _partial(gens, 5, budget).relators)) == relators
+
+
+def _reduced_word_total(steps, max_len):
+    letters = [letter for letter, _ in steps]
+    return sum(
+        all(w[i] != (w[i - 1][0], -w[i - 1][1]) for i in range(1, n))
+        for n in range(1, max_len + 1)
+        for w in itertools.product(letters, repeat=n)
+    )
+
+
+@pytest.mark.parametrize("family", ["adding_machine", "tullio", "grigorchuk", "basilica", "gupta_sidki_3"])
+def test_reduced_word_count_bounds_the_search(family):
+    steps = symmetric_letters(entry(family).generators)
+    for n in range(1, 6):
+        assert freeness._reduced_word_count(steps, n) == _reduced_word_total(steps, n)
+    assert freeness._reduced_word_count(symmetric_letters(entry("basilica").generators), 7) == 4372
+
+
+# aleshin stops at 6: its depth-first search to 7 takes about 30 s
+@pytest.mark.parametrize(
+    "family, max_len",
+    [(family, 7) for family in ("adding_machine", "tullio", "grigorchuk", "basilica", "gupta_sidki_3")]
+    + [("aleshin", 6)],
+)
+def test_both_exact_paths_agree_on_the_catalog(family, max_len):
+    steps = symmetric_letters(entry(family).generators)
+    for n in range(1, max_len + 1):
+        # a budget of one per reduced word never runs out
+        by_search = freeness._relators_from_search(
+            steps, n, 0, freeness._reduced_word_count(steps, n)
+        )
+        assert by_search == freeness._relators_from_classes(steps, n)
+
+
+def test_half_length_classes_take_one_product_per_short_word(monkeypatch):
+    compose = core.compose
+    calls = []
+
+    def counting_compose(g, h):
+        calls.append(None)
+        return compose(g, h)
+
+    monkeypatch.setattr(core, "compose", counting_compose)
+    monkeypatch.setattr(freeness, "compose", counting_compose)
+    assert find_relations(entry("basilica").generators, 7) == RelationReport(7, (), True)
+    # the depth-first search took 1,318 products here, and the 160 reduced
+    # words of length 1..4 take one each
+    assert len(calls) <= 200
