@@ -30,6 +30,15 @@ same holds for the inverse: inverting every state of a minimal machine
 keeps its states pairwise different and reaching the same states, so only
 the numbering has to be redone.
 
+Products of one element with several right factors share one pair walk
+and one refinement (_products): the state pairs reachable from all the
+start pairs form one machine, and Moore refinement of that machine gives
+its minimal quotient.  The blocks one start reaches, with the identity
+block, are a sub-machine of that quotient, so they are minimal by the
+same argument; renumbered breadth-first from the start's block they are
+the canonical form of that one product, whatever the other starts
+added to the walk.  compose is the case of a single start.
+
 Composition is right to left throughout: (compose(g, h))(v) = g(h(v)).
 """
 
@@ -195,7 +204,8 @@ class Automorphism:
             k,
             [idrow] + [perms[s] for s in order],
             [[0] + [number[trans[s][x]] for s in order] for x in range(k)],
-        )
+            [1],
+        )[0]
 
     @classmethod
     def identity(cls, k: int) -> "Automorphism":
@@ -376,13 +386,8 @@ def identity(k: int) -> Automorphism:
 def compose(g: Automorphism, h: Automorphism) -> Automorphism:
     """The product g h acting by (g h)(v) = g(h(v)).
 
-    Built on reachable state pairs: the pair (p, q) behaves as the product
-    of the sections at p and q, stepping by
-
-        (p, q) --x--> (p after h's image of x, q after x)
-
-    and only pairs reachable from (initial, initial) are materialized.
-    The result is minimized, so products of elements with small canonical
+    The one-start case of _products: pairs reachable from (initial,
+    initial) only, minimized, so products of elements with small canonical
     machines stay small no matter how long the generating word was.
     """
     if g.k != h.k:
@@ -391,17 +396,42 @@ def compose(g: Automorphism, h: Automorphism) -> Automorphism:
         return h
     if h.initial == 0:
         return g
-    k, m = g.k, len(h.perms)
+    return _products(g, h.perms, h.trans, [h.initial])[0]
+
+
+def _products(g: Automorphism, hperms, htrans, starts) -> list[Automorphism]:
+    """The products of g with the states `starts` of one right machine.
+
+    hperms and htrans are the tables of a machine on g's alphabet whose
+    state 0 is the identity row.  Built on reachable state pairs: the pair
+    (p, q) behaves as the product of g's state p with the state q, stepping
+    by
+
+        (p, q) --x--> (p after q's image of x, q after x)
+
+    and only pairs reachable from the start pairs (initial, s) are
+    materialized, in one walk for all of them.  One refinement then serves
+    every product (module docstring).
+    """
+    k, m = g.k, len(hperms)
+    gperms, gtrans = g.perms, g.trans
     # the pair (p, q) is keyed p * m + q, so (0, 0) is 0; pairs are numbered
-    # in the order they are met, which is breadth-first from the initial one
-    start = g.initial * m + h.initial
-    index = {0: 0, start: 1}
-    order = [start]
+    # in the order they are met, the start pairs first, which is breadth-first
+    # from the first start when it is the only one
+    index = {0: 0}
+    order = []
+    firsts = []
+    for s in starts:
+        pair = g.initial * m + s
+        if pair not in index:
+            index[pair] = len(index)
+            order.append(pair)
+        firsts.append(index[pair])
     perms = [tuple(range(k))]
     cols: list[list[int]] = [[0] for _ in range(k)]
     for pair in order:  # the list grows while it is walked
         p, q = divmod(pair, m)
-        gperm, grow, hperm, hrow = g.perms[p], g.trans[p], h.perms[q], h.trans[q]
+        gperm, grow, hperm, hrow = gperms[p], gtrans[p], hperms[q], htrans[q]
         perms.append(tuple([gperm[y] for y in hperm]))
         for x, col in enumerate(cols):
             nxt = grow[hperm[x]] * m + hrow[x]
@@ -410,7 +440,24 @@ def compose(g: Automorphism, h: Automorphism) -> Automorphism:
                 t = index[nxt] = len(index)
                 order.append(nxt)
             col.append(t)
-    return _canonical(k, perms, cols)
+    return _canonical(k, perms, cols, firsts)
+
+
+def _right_machine(values) -> tuple[list, list, list]:
+    """(perms, trans, starts): one machine holding every state of every
+    value, states of equal value merged, so state 0 is the identity and
+    starts[i] is the state of values[i].  States are numbered in the order
+    the values and their states are met, whatever the hash order."""
+    number: dict = {}
+    perms, trans, starts = [], [], []
+    for a in values:
+        local = [number.setdefault(a._with_initial(s), len(number)) for s in range(a.state_count)]
+        for s, u in enumerate(local):
+            if u == len(perms):  # new states come in increasing order
+                perms.append(a.perms[s])
+                trans.append(tuple([local[t] for t in a.trans[s]]))
+        starts.append(local[a.initial])
+    return perms, trans, starts
 
 
 def _numbering(trans, initial: int) -> tuple[dict, list]:
@@ -440,13 +487,15 @@ def _renumbered(k: int, perms, trans, s: int) -> Automorphism:
     )
 
 
-def _canonical(k: int, perms: list, cols: list) -> Automorphism:
-    """The canonical form of a machine numbered as in the module docstring.
+def _canonical(k: int, perms: list, cols: list, starts) -> list[Automorphism]:
+    """The canonical forms of a machine's states `starts`.
 
-    State 0 is the identity row, state 1 the initial state, cols[x][s] the
-    successor of s below letter x.  Moore refinement is seeded with the root
-    permutations.  A minimal machine is returned as it is; otherwise the
-    quotient is renumbered breadth-first from the initial block.
+    State 0 is the identity row, cols[x][s] the successor of s below
+    letter x, and every state is reachable from some start.  Moore
+    refinement, seeded with the root permutations, runs once over the whole
+    machine; each start is then read off the quotient by breadth-first
+    renumbering from its block (module docstring).  A lone start 1 of a
+    minimal machine numbered as in the module docstring is returned as it is.
     """
     n = len(perms)
     table: dict = {}
@@ -458,12 +507,28 @@ def _canonical(k: int, perms: list, cols: list) -> Automorphism:
         if len(table2) == len(table):
             break
         ids, table = new, table2
-    if len(table) == n:
-        return Automorphism(k, tuple(perms), tuple(zip(*cols)), 1, _raw=True)
-    if ids[1] == ids[0]:
+    minimal = len(table) == n
+    rows = tuple(zip(*cols)) if minimal else None
+    if minimal and starts == [1]:
+        return [Automorphism(k, tuple(perms), rows, 1, _raw=True)]
+    products = {}
+    for start in starts:  # a minimal machine needs the renumbering alone
+        if start not in products:
+            products[start] = (
+                _renumbered(k, perms, rows, start)
+                if minimal and start
+                else _quotient_at(k, perms, cols, ids, start)
+            )
+    return [products[start] for start in starts]
+
+
+def _quotient_at(k: int, perms, cols, ids, start: int) -> Automorphism:
+    """The state `start` of the quotient by the blocks `ids`, numbered
+    breadth-first from it; block 0 is state 0's, the identity."""
+    if ids[start] == 0:
         return Automorphism.identity(k)
-    number = {ids[0]: 0, ids[1]: 1}
-    reps = [1]
+    number = {0: 0, ids[start]: 1}
+    reps = [start]
     for s in reps:  # the list grows while it is walked
         for col in cols:
             t = col[s]
@@ -577,23 +642,31 @@ def _reduced_words(letters, max_len: int, elements: dict):
     """Walk reduced words over `letters` in length order, up to max_len.
 
     Words grow by one letter on the right, skipping the letter that cancels
-    the last one.  After each composition yields (word, value, known), known
-    being the word already stored for value in `elements`, or None; the
-    caller's map is seeded with the identity and then gains every new value
-    with its word, so each stored word is the first, hence a shortest, word
-    for its value.  Stops early at a length that stores nothing.
+    the last one.  Yields (word, value, known) per word, known being the
+    word already stored for value in `elements`, or None; the caller's map
+    is seeded with the identity and then gains every new value with its
+    word, so each stored word is the first, hence a shortest, word for its
+    value.  Stops early at a length that stores nothing.  The values of a
+    word's children come from one _products call over a right machine of
+    all the letters, so up to len(letters) - 1 of them may be computed
+    and never asked for.
     """
+    hperms, htrans, hstarts = _right_machine([g for _, g in letters])
+    # by a word's last letter (none for the empty word): its children's letter
+    # indices and their states in the right machine
+    after = {(): (range(len(letters)), hstarts)}
+    for (name, sign), _ in letters:
+        fits = [i for i, (letter, _) in enumerate(letters) if letter != (name, -sign)]
+        after[((name, sign),)] = (fits, [hstarts[i] for i in fits])
     e = Automorphism.identity(letters[0][1].k)
     elements[e] = Word(())
     layer = [(Word(()), e)]
     for _ in range(max_len):
         nxt = []
         for word, elem in layer:
-            for (name, sign), g in letters:
-                if word.letters[-1:] == ((name, -sign),):
-                    continue
-                value = compose(elem, g)
-                child = Word(word.letters + ((name, sign),))
+            fits, starts = after[word.letters[-1:]]
+            for i, value in zip(fits, _products(elem, hperms, htrans, starts)):
+                child = Word(word.letters + (letters[i][0],))
                 known = elements.get(value)
                 yield child, value, known
                 if known is None:

@@ -128,6 +128,8 @@ def find_relations(
     steps = symmetric_letters(gens)
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
+    if budget < 0:
+        raise ValueError("budget must be nonnegative")
     spent = 0
 
     shortcut_ok = all(
@@ -455,6 +457,8 @@ def free_subgroup_certificate(
     """
     if max_len < 0:
         raise ValueError("max_len must be nonnegative")
+    if budget < 0:
+        raise ValueError("budget must be nonnegative")
     uw, vw = _as_word(u), _as_word(v)
     pair = (str(uw), str(vw))
     gu = evaluate_word(gens, uw)

@@ -164,6 +164,8 @@ def _ball_walk(gens: Mapping[str, Automorphism], max_len: int, budget: int, elem
     letters = symmetric_letters(gens)
     if max_len < 0:
         raise ValueError("max_len must be nonnegative")
+    if budget < 1:
+        raise ValueError("budget must be at least 1")
     yield identity(letters[0][1].k), Word(())
     for word, value, known in _reduced_words(letters, max_len, elements):
         if known is None:
@@ -277,6 +279,8 @@ def germ_group(
     budget: int = 100000,
     max_order: int = 64,
 ) -> GermGroupReport:
+    if max_order < 1:
+        raise ValueError("max_order must be at least 1")
     return _germ_group_in(ball(gens, max_len, budget)[0], point, max_order)
 
 

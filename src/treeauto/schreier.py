@@ -49,6 +49,8 @@ def _orbit(gens: Mapping[str, Automorphism], v, budget: int):
     a larger level the keys are vertex tuples and rows dicts of what the
     walk read.
     """
+    if budget < 0:  # the start vertex is never charged
+        raise ValueError("budget must be nonnegative")
     syms = symmetrize(gens)
     values = list(syms.values())
     start = values[0]._vertex(v)
@@ -139,6 +141,8 @@ def schreier_graph(
 
 
 def _level_vertices(k: int, level: int, budget: int) -> int:
+    if budget < 1:
+        raise ValueError("budget must be at least 1")
     if k ** level > budget:
         raise BudgetExceeded(
             "level %d has %d vertices, over the budget of %d" % (level, k ** level, budget),
@@ -259,4 +263,6 @@ def isoperimetric_profile(
     """Folner candidates for levels 1 through max_level."""
     if max_level < 0:
         raise ValueError("level must be nonnegative")
+    if budget < 1:
+        raise ValueError("budget must be at least 1")
     return tuple(folner_candidate(gens, n, budget) for n in range(1, max_level + 1))

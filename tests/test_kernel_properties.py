@@ -16,6 +16,10 @@ Sections read off by renumbering alone (Automorphism._with_initial) must
 equal the canonicalizing build of the same state, on drawn machines and on
 catalog words; inverses, also renumbered alone, must be canonical there.
 
+Products of one element with several right factors from one pair walk
+(core._products) must equal compose factor by factor, and the ball walk
+built on them must give the sequence of a walk composing once per word.
+
 The keyed word walk (core._distinct_words) must give the exact walk's
 sequence word for word, as built and forced onto each of its fallbacks,
 and the two searches on it must give the reports frozen from the exact walk.
@@ -214,6 +218,67 @@ def test_section(drawn):
             assert_canonical(sec)
             for v in words(g.k, 3):
                 assert sec.apply(v) == g.apply(u + v)[n:]
+
+
+# -- products with several right factors ----------------------------------------
+
+
+def tables(a: Automorphism) -> tuple:
+    return a.perms, a.trans, a.initial
+
+
+@PROPERTIES
+@given(triples())
+def test_products_equal_compose(drawn):
+    g, h, f = drawn[1]
+    hs = [identity(g.k), h, h, g, g.inverse(), f]
+    perms, trans, starts = core._right_machine(hs)
+    for left in (g, compose(g, h)):
+        products = core._products(left, perms, trans, starts)
+        assert [tables(p) for p in products] == [tables(compose(left, x)) for x in hs]
+        for p in products:
+            assert_canonical(p)
+        # compose's case: one start on the right factor's own tables
+        [gh] = core._products(left, h.perms, h.trans, [h.initial])
+        assert tables(gh) == tables(compose(left, h))
+
+
+def reference_reduced_words(letters, max_len: int) -> list:
+    """_reduced_words as it was when it composed once per word."""
+    elements = {identity(letters[0][1].k): Word(())}
+    layer, out = [(Word(()), identity(letters[0][1].k))], []
+    for _ in range(max_len):
+        nxt = []
+        for word, elem in layer:
+            for (name, sign), g in letters:
+                if word.letters[-1:] == ((name, -sign),):
+                    continue
+                value = compose(elem, g)
+                child = Word(word.letters + ((name, sign),))
+                known = elements.get(value)
+                out.append((child, tables(value), known))
+                if known is None:
+                    elements[value] = child
+                    nxt.append((child, value))
+        if not nxt:
+            break
+        layer = nxt
+    return out
+
+
+# repeated generators and a trivial one put repeated and zero starts in a batch
+ADDING = entry("adding_machine").generators["a"]
+PRODUCT_FAMILIES = {name: family.generators for name, family in builtin().items()}
+PRODUCT_FAMILIES["repeated"] = {"a": ADDING, "b": ADDING, "e": identity(2)}
+
+
+@pytest.mark.parametrize("family", sorted(PRODUCT_FAMILIES))
+def test_reduced_words_against_compose_per_word(family):
+    letters = symmetric_letters(PRODUCT_FAMILIES[family])
+    walked = [
+        (word, tables(value), known) for word, value, known in _reduced_words(letters, 4, {})
+    ]
+    assert walked == reference_reduced_words(letters, 4)
 
 
 # -- level actions and level graphs --------------------------------------------
