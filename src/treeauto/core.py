@@ -507,18 +507,12 @@ def _canonical(k: int, perms: list, cols: list, starts) -> list[Automorphism]:
         if len(table2) == len(table):
             break
         ids, table = new, table2
-    minimal = len(table) == n
-    rows = tuple(zip(*cols)) if minimal else None
-    if minimal and starts == [1]:
-        return [Automorphism(k, tuple(perms), rows, 1, _raw=True)]
+    if len(table) == n and starts == [1]:
+        return [Automorphism(k, tuple(perms), tuple(zip(*cols)), 1, _raw=True)]
     products = {}
-    for start in starts:  # a minimal machine needs the renumbering alone
+    for start in starts:
         if start not in products:
-            products[start] = (
-                _renumbered(k, perms, rows, start)
-                if minimal and start
-                else _quotient_at(k, perms, cols, ids, start)
-            )
+            products[start] = _quotient_at(k, perms, cols, ids, start)
     return [products[start] for start in starts]
 
 
@@ -535,8 +529,8 @@ def _quotient_at(k: int, perms, cols, ids, start: int) -> Automorphism:
             if ids[t] not in number:
                 number[ids[t]] = len(number)
                 reps.append(t)
-    new_perms = (perms[0],) + tuple(perms[s] for s in reps)
-    new_trans = ((0,) * k,) + tuple(tuple(number[ids[col[s]]] for col in cols) for s in reps)
+    new_perms = (perms[0],) + tuple([perms[s] for s in reps])
+    new_trans = ((0,) * k,) + tuple([tuple([number[ids[col[s]]] for col in cols]) for s in reps])
     return Automorphism(k, new_perms, new_trans, 1, _raw=True)
 
 
