@@ -160,6 +160,8 @@ class BoundaryPoint:
 
     def tail(self, n: int) -> "BoundaryPoint":
         """The ray with its first n letters removed."""
+        if n < 0:
+            raise ValueError("tail length must be nonnegative")
         if n <= len(self.preperiod):
             return BoundaryPoint(self.preperiod[n:], self.period)
         shift = (n - len(self.preperiod)) % len(self.period)
@@ -330,24 +332,27 @@ class Automorphism:
         """The section g|_v, the automorphism induced on the subtree at v."""
         return self._with_initial(self.state_at(v))
 
-    def apply_boundary(self, w: BoundaryPoint) -> BoundaryPoint:
-        """The image of an eventually periodic ray, again in canonical form.
-
-        The state trajectory along the period repeats after at most
-        state_count sweeps, so the image's preperiod and period are read
-        off the sweeps before and inside the first repetition.
-        """
+    def _ray(self, w: BoundaryPoint) -> tuple[list, list, int]:
+        """(g(w)'s letters, sweep starts, c) from one walk of the ray w: letters up to
+        the first period sweep that would start in a state met before, the states
+        the sweeps start in (g's sections there) in order; they repeat from starts[c]."""
         self._vertex(w.preperiod + w.period)
-        s, out, starts = self.initial, [], {}
+        perms, trans, s, out = self.perms, self.trans, self.initial, []
         for x in w.preperiod:
-            out.append(self.perms[s][x])
-            s = self.trans[s][x]
-        while s not in starts:  # starts[s]: where the sweep from state s begins in out
-            starts[s] = len(out)
+            out.append(perms[s][x])
+            s = trans[s][x]
+        starts = {}  # state -> its sweep index; at most state_count sweeps
+        while s not in starts:
+            starts[s] = len(starts)
             for x in w.period:
-                out.append(self.perms[s][x])
-                s = self.trans[s][x]
-        i = starts[s]
+                out.append(perms[s][x])
+                s = trans[s][x]
+        return out, list(starts), starts[s]
+
+    def apply_boundary(self, w: BoundaryPoint) -> BoundaryPoint:
+        """The image of an eventually periodic ray, again in canonical form."""
+        out, _, c = self._ray(w)
+        i = len(w.preperiod) + c * len(w.period)
         return BoundaryPoint(tuple(out[:i]), tuple(out[i:]))
 
     # -- group operations --------------------------------------------------

@@ -67,7 +67,7 @@ from .core import (
     invert,
     symmetric_letters,
 )
-from .nucleus import ball, germ_is_trivial, stabilizes
+from .nucleus import _germ, ball
 from .words import Word, commutator
 
 WordLike = Union[str, Word]
@@ -310,11 +310,11 @@ class StabilizerSample:
 
 
 def _stabilizer_elements(elements, point) -> list:
-    """The nontrivial ball elements fixing the ray, length-lex by word."""
+    """(word, element, germ key) of the nontrivial ball elements fixing the ray, length-lex."""
     hits = [
-        (word, elem)
+        (word, elem, germ)
         for elem, word in elements.items()
-        if not elem.is_identity() and stabilizes(elem, point)
+        if not elem.is_identity() and (germ := _germ(elem, point)) is not None
     ]
     hits.sort(key=lambda p: (len(p[0].letters), _display_key(p[0].letters)))
     return hits
@@ -331,8 +331,8 @@ def stabilizer_search(
     return StabilizerSample(
         point=point,
         max_len=max_len,
-        words=tuple(w for w, _ in hits),
-        germ_trivial=tuple(germ_is_trivial(g, point) for _, g in hits),
+        words=tuple(w for w, _, _ in hits),
+        germ_trivial=tuple(germ == (0,) for _, _, germ in hits),
         complete=closed,
     )
 
@@ -366,7 +366,7 @@ def germ_faithfulness_probe(
 def _faithfulness_probe_in(elements, point: BoundaryPoint, max_len: int) -> FaithfulnessProbe:
     """germ_faithfulness_probe over the elements of a ball that is already enumerated."""
     hits = _stabilizer_elements(elements, point)
-    elems = [elem for _, elem in hits]
+    elems = [elem for _, elem, _ in hits]
 
     def comm(x: Automorphism, y: Automorphism) -> Automorphism:
         return compose(compose(x, y), compose(invert(x), invert(y)))

@@ -22,10 +22,18 @@ every first-level section of every generator has its first word, so a
 "yes" costs the elements up to its last witness, while "no" and
 "inconclusive" still need the whole ball.  The budget counts the distinct
 elements the walk has reached, in both.
+
+Germs at a ray w are keyed (_germ): one walk of w gives g's states at the
+starts of the period sweeps, and for g fixing w their cycle, rotated so the
+state at a sweep index divisible by its length comes first, is the key.
+Elements fixing w share a germ exactly when their sections agree at some
+vertex of w, and then at every later one; the cycle's distinct states are
+distinct values, so it is primitive and equal germs give equal cycles.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
@@ -35,7 +43,6 @@ from .core import (
     BudgetExceeded,
     _alphabet,
     _reduced_words,
-    apply_boundary,
     compose,
     identity,
     invert,
@@ -231,8 +238,17 @@ def is_self_similar(
 # -- germs at eventually periodic rays -----------------------------------------
 
 
+def _germ(g: Automorphism, point: BoundaryPoint) -> Optional[tuple[int, ...]]:
+    """None when g moves the ray, else g's germ key there (module docstring)."""
+    out, starts, c = g._ray(point)
+    if out != list(point.preperiod + point.period * len(starts)):
+        return None
+    n = len(starts) - c  # the state at sweep j >= c is starts[c + (j - c) % n]
+    return tuple(starts[c + (j - c) % n] for j in range(n))
+
+
 def stabilizes(g: Automorphism, point: BoundaryPoint) -> bool:
-    return apply_boundary(g, point) == point
+    return _germ(g, point) is not None
 
 
 def germ_is_trivial(g: Automorphism, point: BoundaryPoint) -> bool:
@@ -242,14 +258,10 @@ def germ_is_trivial(g: Automorphism, point: BoundaryPoint) -> bool:
     state, i.e. g restricted below some finite prefix of the ray is trivial.
     Raises if g does not fix the ray, since the germ is undefined there.
     """
-    if not stabilizes(g, point):
+    germ = _germ(g, point)
+    if germ is None:
         raise ValueError("germ is only defined at a fixed ray")
-    s, seen = g._walk(point.preperiod)[1], set()
-    while s not in seen:  # the identity state 0 is a fixed point of the walk
-        seen.add(s)
-        for x in point.period:
-            s = g.trans[s][x]
-    return 0 in seen
+    return germ == (0,)
 
 
 @dataclass(frozen=True)
@@ -286,53 +298,36 @@ def germ_group(
 
 def _germ_group_in(elements, point: BoundaryPoint, max_order: int = 64) -> GermGroupReport:
     """germ_group over the elements of a ball that is already enumerated."""
-    stab = [(word, elem) for elem, word in elements.items() if stabilizes(elem, point)]
+    stab = [(w, g, germ) for g, w in elements.items() if (germ := _germ(g, point)) is not None]
     stab.sort(key=lambda p: (len(p[0].letters), p[0].letters))
+    classes: dict[tuple[Automorphism, ...], int] = {}  # germ key read as values -> class
+    reps: list[tuple[Word, Automorphism]] = []  # a new class is represented by word()
 
-    reps: list[tuple[Word, Automorphism]] = []
-    inverses: list[Automorphism] = []  # inverses[i] is the inverse of reps[i][1]
+    def class_of(elem: Automorphism, germ: tuple[int, ...], word) -> int:
+        key = tuple(map(elem._with_initial, germ))
+        if key not in classes:
+            classes[key] = len(reps)
+            reps.append((word(), elem))
+        return classes[key]
 
-    def class_of(elem: Automorphism) -> Optional[int]:
-        for i, r_inv in enumerate(inverses):
-            if germ_is_trivial(compose(elem, r_inv), point):
-                return i
-        return None
+    for word, elem, germ in stab:  # the ball's identity sorts first, so class 0 is trivial
+        class_of(elem, germ, lambda: word)
 
-    def add(word: Word, elem: Automorphism):
-        reps.append((word, elem))
-        inverses.append(invert(elem))
-
-    add(Word(()), identity(next(iter(elements)).k))
-    for word, elem in stab:
-        if class_of(elem) is None:
-            add(word, elem)
-
-    # close the class set under products (a finite set of germs closed under
-    # products is a group); words for new classes are concatenations
-    done: set[tuple[int, int]] = set()
-    grew = True
-    while grew and len(reps) <= max_order:
-        grew = False
+    # close the classes under products (a finite set of germs closed under products is a group)
+    table: dict[tuple[int, int], int] = {}  # (i, j) -> the class of reps[i] reps[j]
+    n = 0
+    while n < len(reps) <= max_order:
         n = len(reps)
-        for i in range(n):
-            for j in range(n):
-                if (i, j) in done:
-                    continue
-                done.add((i, j))
+        for i, j in itertools.product(range(n), repeat=2):
+            if (i, j) not in table:
                 prod = compose(reps[i][1], reps[j][1])
-                if class_of(prod) is None:
-                    add(reps[i][0] * reps[j][0], prod)
-                    grew = True
+                table[i, j] = class_of(prod, _germ(prod, point), lambda: reps[i][0] * reps[j][0])
     complete = len(reps) <= max_order
-
-    table = tuple(
-        tuple(class_of(compose(ri, rj)) for _, rj in reps) for _, ri in reps
-    ) if complete else ()
 
     return GermGroupReport(
         point=point,
         order=len(reps),
         representatives=tuple(str(w) for w, _ in reps),
         complete=complete,
-        table=table,
+        table=tuple(tuple(table[i, j] for j in range(n)) for i in range(n)) if complete else (),
     )

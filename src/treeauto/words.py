@@ -52,7 +52,9 @@ class Word:
                 try:
                     exp = int(exp_text)
                 except ValueError:
-                    raise ValueError("bad exponent in token %r" % tok) from None
+                    exp = 0  # refused below, like a zero exponent
+                if not exp:
+                    raise ValueError("bad exponent in token %r" % tok)
             else:
                 name, exp = tok, 1
             if not name:

@@ -249,6 +249,10 @@ def test_exit_codes():
     assert code == 1
     assert "zz" in err
 
+    code, out, err = run("eval", "-f", "adding_machine", "a^0", "011")
+    assert (code, out) == (1, "")
+    assert err == "error: bad exponent in token 'a^0'\n"
+
     for target in ("05", ":05"):
         code, _, err = run("eval", "-f", "adding_machine", "a", target)
         assert code == 1

@@ -91,6 +91,9 @@ def test_boundary_point_prefix_tail():
     assert w.tail(1) == BoundaryPoint("", "10")
     assert w.tail(2) == BoundaryPoint("", "01")
     assert w.tail(0) == w
+    for n in (-1, -2):
+        with pytest.raises(ValueError, match="nonnegative"):
+            w.tail(n)
 
 
 # -- the adding machine acting on vertices ----------------------------------

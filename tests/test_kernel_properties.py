@@ -24,6 +24,13 @@ The keyed word walk (core._distinct_words) must give the exact walk's
 sequence word for word, as built and forced onto each of its fallbacks,
 and the two searches on it must give the reports frozen from the exact walk.
 
+One walk along a ray (Automorphism._ray) serves apply_boundary, stabilizes,
+germ_is_trivial and the germ key; they are checked against applies and
+sections on long prefixes of the ray and against the two-walk
+germ_is_trivial.  Two elements fixing a ray must share a germ key exactly
+when g h^-1 has trivial germ, and germ groups read off the keys must equal
+those found by composing with every representative's inverse.
+
 Limit states found by peeling must be the states met at every large
 depth, and the one state-graph analysis that the activity module shares
 must give the classifications, direction sets and closure reports of the
@@ -61,6 +68,7 @@ from treeauto.core import (
     _reduced_words,
     compose,
     identity,
+    invert,
     level_action,
     symmetric_letters,
 )
@@ -70,7 +78,15 @@ from treeauto.freeness import (
     find_relations,
     free_subgroup_certificate,
 )
-from treeauto.nucleus import limit_states
+from treeauto.nucleus import (
+    GermGroupReport,
+    _germ,
+    _germ_group_in,
+    ball,
+    germ_is_trivial,
+    limit_states,
+    stabilizes,
+)
 from treeauto.schreier import (
     ComponentSummary,
     FolnerReport,
@@ -828,3 +844,175 @@ def test_state_graphs_on_catalog_words(family):
         assert_state_graphs(value)
     for a, b in zip(values, values[1:]):
         assert outcome(is_bounded_closed_under_product, a, b) == outcome(reference_closure, a, b)
+
+
+# -- rays and germs --------------------------------------------------------------
+
+
+def rays(k: int, max_pre: int, max_per: int) -> list:
+    """Every ray with preperiod <= max_pre and period <= max_per letters, once."""
+    out = []
+    for lp, lq in itertools.product(range(max_pre + 1), range(1, max_per + 1)):
+        for pre, per in itertools.product(words(k, lp), words(k, lq)):
+            w = BoundaryPoint(pre, per)
+            if w not in out:
+                out.append(w)
+    return out
+
+
+def prefix_fixes(g: Automorphism, w: BoundaryPoint) -> bool:
+    """Does g fix w, by one apply on a prefix?  g(w) has preperiod at most
+    p + mL and period at most mL (m states, p and L the lengths of w's parts),
+    so agreeing with w on p + (2m + 1)L letters means agreeing everywhere."""
+    n = len(w.preperiod) + (2 * g.state_count + 1) * len(w.period)
+    return g.apply(w.prefix(n)) == w.prefix(n)
+
+
+def prefix_germ_is_trivial(g: Automorphism, w: BoundaryPoint) -> bool:
+    """The section at the start of sweep m lies in the cycle of sweep starts,
+    which holds the identity state exactly when it is that state alone."""
+    return g.state_at(w.prefix(len(w.preperiod) + g.state_count * len(w.period))) == 0
+
+
+def two_walk_germ_is_trivial(g: Automorphism, w: BoundaryPoint) -> bool:
+    """germ_is_trivial as it was: a fixed-ray check, then a second walk."""
+    if g.apply_boundary(w) != w:
+        raise ValueError("germ is only defined at a fixed ray")
+    s, seen = g._walk(w.preperiod)[1], set()
+    while s not in seen:
+        seen.add(s)
+        for x in w.period:
+            s = g.trans[s][x]
+    return 0 in seen
+
+
+def germ_key(g: Automorphism, w: BoundaryPoint) -> tuple:
+    return tuple(map(g._with_initial, _germ(g, w)))
+
+
+def assert_ray_walks(g: Automorphism, w: BoundaryPoint):
+    image = g.apply_boundary(w)
+    n = len(image.preperiod) + len(image.period) + len(w.preperiod)
+    n += 2 * g.state_count * len(w.period)
+    assert image.prefix(n) == g.apply(w.prefix(n))
+    fixes = prefix_fixes(g, w)
+    assert stabilizes(g, w) == fixes == (image == w)
+    if fixes:
+        trivial = prefix_germ_is_trivial(g, w)
+        assert germ_is_trivial(g, w) == trivial == two_walk_germ_is_trivial(g, w)
+        assert (germ_key(g, w) == (identity(g.k),)) == trivial
+    else:
+        assert _germ(g, w) is None
+        with pytest.raises(ValueError):
+            germ_is_trivial(g, w)
+
+
+@pytest.mark.parametrize("family", sorted(builtin()))
+def test_ray_walks_on_catalog_words(family):
+    gens = builtin()[family].generators
+    k = next(iter(gens.values())).k
+    elements = ball(gens, 3 if k == 2 else 2)[0]
+    for w in rays(k, 2, 3):
+        for g in elements:
+            assert_ray_walks(g, w)
+
+
+@st.composite
+def machines_and_rays(draw):
+    """Three drawn machines and three rays on their alphabet."""
+    _, gs = draw(triples())
+    k = gs[0].k
+    letters = st.integers(0, k - 1)
+    ws = [
+        BoundaryPoint(
+            draw(st.lists(letters, max_size=3)), draw(st.lists(letters, min_size=1, max_size=3))
+        )
+        for _ in range(3)
+    ]
+    return gs, ws
+
+
+@PROPERTIES
+@given(machines_and_rays())
+def test_ray_walks_on_drawn_machines(drawn):
+    (g, h, f), ws = drawn
+    for w in ws:
+        for a in (g, h, f, compose(g, h), compose(h, compose(g, f))):
+            assert_ray_walks(a, w)
+
+
+def assert_germ_keys(elements, w: BoundaryPoint):
+    """Two elements fixing w share a key exactly when g h^-1 has trivial germ."""
+    stab = [g for g in elements if prefix_fixes(g, w)]
+    for g, h in itertools.product(stab, repeat=2):
+        same = two_walk_germ_is_trivial(compose(g, invert(h)), w)
+        assert (germ_key(g, w) == germ_key(h, w)) == same, (g, h, w)
+
+
+def reference_germ_group(elements, w: BoundaryPoint, max_order: int) -> GermGroupReport:
+    """_germ_group_in as it was: each class by compose-and-test against every
+    representative, and the table from a second round of products."""
+    stab = [(word, g) for g, word in elements.items() if prefix_fixes(g, w)]
+    stab.sort(key=lambda p: (len(p[0].letters), p[0].letters))
+    reps, inverses = [], []
+
+    def class_of(g):
+        for i, r_inv in enumerate(inverses):
+            if two_walk_germ_is_trivial(compose(g, r_inv), w):
+                return i
+        return None
+
+    def add(word, g):
+        reps.append((word, g))
+        inverses.append(invert(g))
+
+    add(Word(()), identity(next(iter(elements)).k))
+    for word, g in stab:
+        if class_of(g) is None:
+            add(word, g)
+    done, grew = set(), True
+    while grew and len(reps) <= max_order:
+        grew = False
+        n = len(reps)
+        for i, j in itertools.product(range(n), repeat=2):
+            if (i, j) not in done:
+                done.add((i, j))
+                prod = compose(reps[i][1], reps[j][1])
+                if class_of(prod) is None:
+                    add(reps[i][0] * reps[j][0], prod)
+                    grew = True
+    complete = len(reps) <= max_order
+    table = tuple(
+        tuple(class_of(compose(ri, rj)) for _, rj in reps) for _, ri in reps
+    ) if complete else ()
+    return GermGroupReport(w, len(reps), tuple(str(x) for x, _ in reps), complete, table)
+
+
+# radius 4 is the first at which grigorchuk's ball holds two elements with
+# one germ whose section cycles (b, c, d at 1^inf) start at different phases;
+# aleshin's germ closures build ever larger products, so only its keys are
+# checked, on the ball
+GERM_RADII = {"grigorchuk": 4, "gupta_sidki_3": 2}
+
+
+@pytest.mark.parametrize("family", sorted(builtin()))
+def test_germ_keys_on_catalog_balls(family):
+    gens = builtin()[family].generators
+    elements = ball(gens, GERM_RADII.get(family, 3))[0]
+    for w in rays(next(iter(gens.values())).k, 1, 2):
+        assert_germ_keys(elements, w)
+        for max_order in (4, 16) if family != "aleshin" else ():
+            got = _germ_group_in(elements, w, max_order)
+            assert got == reference_germ_group(elements, w, max_order)
+
+
+@PROPERTIES
+@given(pairs(), st.data())
+def test_germ_keys_on_drawn_pairs(gens, data):
+    k = gens["a"].k
+    elements = ball(gens, 2)[0]
+    for w in data.draw(st.lists(st.sampled_from(rays(k, 1, 2)), min_size=1, max_size=3)):
+        assert_germ_keys(elements, w)
+        for max_order in (1, 4):
+            got = _germ_group_in(elements, w, max_order)
+            assert got == reference_germ_group(elements, w, max_order)

@@ -365,7 +365,7 @@ def test_self_similarity_stops_at_its_last_witness(compose_calls):
     assert len(compose_calls) <= 20
 
 
-def test_germ_group_inverts_each_class_once(monkeypatch):
+def test_germ_group_inverts_each_class_once(monkeypatch, compose_calls):
     invert = nucleus_module.invert
     calls = []
 
@@ -378,3 +378,6 @@ def test_germ_group_inverts_each_class_once(monkeypatch):
     assert rep.representatives == ("e", "b", "c", "d")
     assert rep.table == ((0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0))
     assert len(calls) <= rep.order
+    # one product per ordered pair of classes, classed by its germ key and
+    # kept as the table entry
+    assert len(compose_calls) <= rep.order ** 2

@@ -22,7 +22,7 @@ def test_parse_and_str_round_trip():
 
 
 def test_parse_rejects_garbage():
-    for bad in ["a^x", "^2", "a^"]:
+    for bad in ["a^x", "^2", "a^", "a^0", "a^0 b", "a^-0"]:
         try:
             Word.parse(bad)
         except ValueError:
