@@ -221,7 +221,10 @@ def encode_integer(n: int, depth: int) -> tuple[int, ...]:
 
 
 def decode_integer(v) -> int:
-    return sum(bit << i for i, bit in enumerate(vertex(v)))
+    bits = vertex(v)
+    if any(bit > 1 for bit in bits):
+        raise ValueError("vertex %r is not binary" % (v,))
+    return sum(bit << i for i, bit in enumerate(bits))
 
 
 def integer_tree_crosscheck(word: Union[Word, str], n: int, depth: int) -> bool:

@@ -44,7 +44,6 @@ Composition is right to left throughout: (compose(g, h))(v) = g(h(v)).
 
 from __future__ import annotations
 
-from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .words import Word
@@ -676,62 +675,35 @@ def _reduced_words(letters, max_len: int, elements: dict):
         layer = nxt
 
 
-# the keyed walk uses levels of at most this many vertices, and holds at most
-# this many key entries per layer (about 16 MB) before the exact walk takes over
-_KEY_POINTS = 1 << 10
-_KEY_ENTRIES = 1 << 21
-
-# a keyed walk that cannot go on yields one of these last
-_RAISE, _EXACT = "raise the level", "hand over to the exact walk"
+# keys are actions on the deepest level with at most this many vertices,
+# one byte per vertex, the most that bytes.translate can map
+_KEY_POINTS = 256
 
 
 def _distinct_words(letters, max_len: int):
     """(word, known) in the order of _reduced_words(letters, max_len, {}),
-    computing no values.
+    composing only on a repeated key.
 
-    A word is told apart from the stored ones by its key, its action on
-    level L: distinct keys prove distinct elements, and a repeated key is
-    checked by composing both words.  L starts at 2 max_len, since two
-    words of length <= max_len differ by one of length <= 2 max_len; when
-    that level has more than _KEY_POINTS vertices, L is the largest level
-    under the cap instead.  A repeated key with distinct values restarts
-    the walk at L + 2 (skipped when over the cap), a second one or a full
-    layer hands it to _reduced_words; either way the items already yielded
-    are skipped, so the sequence never depends on the keys.
+    A word's key is its inverse's action on level L, the deepest level
+    with at most _KEY_POINTS vertices, as bytes; a child's key is its
+    prefix's key translated by the letter's inverse, one C call.  Distinct
+    keys prove distinct elements.  The seen-map holds hash(key) and the
+    first word with it; a hit turns that entry into a map from value to
+    word, and the child is told apart by one value probe, so neither a
+    repeated key of distinct elements nor a hash collision moves the
+    sequence.  Only the layer being extended keeps its keys.  With no
+    level but 0 under the cap every word is a hit, and the walk is exact.
     """
     k = letters[0][1].k
-    first = 2 * max_len
-    while first > 0 and k ** first > _KEY_POINTS:
-        first -= 1
-    done = 0
-    for level in (first, first + 2):
-        if k ** level > _KEY_POINTS:
-            continue
-        for n, item in enumerate(_keyed_words(letters, max_len, level)):
-            if item is _RAISE or item is _EXACT:
-                break
-            if n >= done:
-                done += 1
-                yield item
-        else:
-            return
-        if item is _EXACT:
-            break
-    for n, (word, _, known) in enumerate(_reduced_words(letters, max_len, {})):
-        if n >= done:
-            yield word, known
-
-
-def _keyed_words(letters, max_len: int, level: int):
-    """The walk of _reduced_words on level-`level` keys, for _distinct_words.
-
-    A child's key is its prefix's permutation after the letter's, one
-    gather.  The seen-map holds hash(key) only, which is sound because
-    every hit is checked exactly, and whole keys are kept for the layer
-    being extended alone.
-    """
+    level = 0
+    while k ** (level + 1) <= _KEY_POINTS:
+        level += 1
+    steps = [
+        (letter, bytes(_perm_inverse(level_action(g, level)[0])).ljust(256, b"\0"))
+        for letter, g in letters
+    ]
     value_of = dict(letters)
-    e = Automorphism.identity(letters[0][1].k)
+    e = Automorphism.identity(k)
 
     def value(word: Word) -> Automorphism:
         elem = e
@@ -739,33 +711,32 @@ def _keyed_words(letters, max_len: int, level: int):
             elem = compose(elem, value_of[letter])
         return elem
 
-    steps = [(letter, itemgetter(*level_action(g, level)[0])) for letter, g in letters]
-    start = tuple(range(e.k ** level))
-    room = _KEY_ENTRIES // len(start)
+    start = bytes(range(k ** level))
     seen = {hash(start): Word(())}
     layer = [(Word(()), start)]
     for depth in range(max_len):
-        last = depth == max_len - 1
         nxt = []
         for word, key in layer:
-            for (name, sign), gather in steps:
+            for (name, sign), table in steps:
                 if word.letters[-1:] == ((name, -sign),):
                     continue
                 child = Word(word.letters + ((name, sign),))
-                child_key = gather(key)
+                child_key = key.translate(table)
                 h = hash(child_key)
-                known = seen.get(h)
-                if known is not None and value(child) != value(known):
-                    yield _RAISE
-                    return
-                yield child, known
-                if known is None:
+                entry = seen.get(h)
+                if entry is None:
                     seen[h] = child
-                    if not last:
-                        if len(nxt) == room:
-                            yield _EXACT
-                            return
-                        nxt.append((child, child_key))
+                    known = None
+                else:
+                    if not isinstance(entry, dict):
+                        entry = seen[h] = {value(entry): entry}
+                    elem = value(child)
+                    known = entry.get(elem)
+                    if known is None:
+                        entry[elem] = child
+                yield child, known
+                if known is None and depth < max_len - 1:
+                    nxt.append((child, child_key))
         if not nxt:
             return
         layer = nxt

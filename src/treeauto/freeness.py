@@ -15,11 +15,13 @@ presence forces an exact search.
 
 The fast path and free_subgroup_certificate only ask whether two words
 collide, so they walk core._distinct_words: words are told apart by their
-action on a level of the tree, a homomorphism to a finite symmetric group,
-so distinct level actions prove distinct elements.  A repeated level
-action is checked by composing both words, so a collision is reported
-only when the values are equal, and the walk reports the same words, in
-the same order, as one that composed once per word.
+action on a level of the tree with at most 256 vertices, a homomorphism to
+a finite symmetric group, so distinct level actions prove distinct
+elements.  The words on a repeated level action are valued by composing,
+so a collision is reported only when the values are equal, and the walk
+reports the same words, in the same order, as one that composed once per
+word.  It holds one key of at most 256 bytes per word of the layer it
+extends, and a value per word whose key repeats.
 
 Both exact paths take their products from one table per call that maps
 (prefix value, letter) to the product, so in a contracting group, where

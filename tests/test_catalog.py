@@ -51,6 +51,9 @@ def test_integer_encoding_round_trip():
         encode_integer(16, 4)
     with pytest.raises(ValueError):
         encode_integer(-1, 4)
+    for not_binary in ((2,), "12", (0, 1, 3)):
+        with pytest.raises(ValueError, match="not binary"):
+            decode_integer(not_binary)
 
 
 # Frozen values, worked out from the recursions by hand:

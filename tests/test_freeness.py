@@ -253,8 +253,20 @@ def test_free_pair_certificate_tells_words_apart_without_products(compose_calls)
 
 
 def test_free_pair_certificate_keys_a_radius_over_the_cap(compose_calls):
-    # level 12 has more than 1,024 vertices, so the walk keys on level 10
+    # level 12 has more than 256 vertices, so the walk keys on level 8
     evidence = free_subgroup_certificate(entry("aleshin").generators, "a", "b", 6)
     assert evidence == TrichotomyEvidence("free_up_to", ("a", "b"), 6)
     # skipping straight to the exact walk took 1,458 products here
     assert len(compose_calls) <= 10
+
+
+def test_free_pair_certificate_at_the_default_length_stays_keyed(monkeypatch):
+    # the walk settles repeated keys in place; a walk that handed over to
+    # the exact walk here, after 3,505 of 13,120 words, took minutes and
+    # gigabytes
+    def no_exact_walk(*args):
+        raise AssertionError("the keyed walk called _reduced_words")
+
+    monkeypatch.setattr(core, "_reduced_words", no_exact_walk)
+    evidence = free_subgroup_certificate(entry("aleshin").generators, "a", "b")
+    assert evidence == TrichotomyEvidence("free_up_to", ("a", "b"), 8)
