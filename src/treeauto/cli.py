@@ -3,11 +3,13 @@
 Every command prints JSON (sorted keys, two-space indent) except
 "schreier --dot" and "catalog dump", which print text formats meant to be
 fed elsewhere.  Exit codes: 0 on success, 1 on bad usage or bad input,
-2 when a budget ran out (the partial result, if any, is still printed).
+2 when a budget ran out (the partial result, if any, is still printed, in
+the JSON form of the result it stands for).
 
-Vertices are written as digit strings ("011"), boundary rays as
-"preperiod:period" ("01:10", ":1"); alphabets therefore need k <= 10,
-which covers every built-in family.
+One encoder, _json, writes every report: its fields by name, fractions as
+{"num", "den"}, words as text.  Vertices are written as digit strings
+("011"), boundary rays as "preperiod:period" ("01:10", ":1"); alphabets
+therefore need k <= 10, which covers every built-in family.
 
 Each command imports what it runs: the module level holds only catalog,
 core, machine_io and nucleus, and a handler imports activity, schreier or
@@ -19,13 +21,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
 
 from .catalog import builtin, entry
 from .core import (
     Automorphism,
     BoundaryPoint,
     BudgetExceeded,
+    Word,
     apply,
     apply_boundary,
     evaluate_word,
@@ -42,16 +44,37 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _emit(data) -> int:
-    print(json.dumps(data, sort_keys=True, indent=2))
+    print(json.dumps(_json(data), sort_keys=True, indent=2))
     return 0
-
-
-def _frac(x) -> dict:
-    return {"num": x.numerator, "den": x.denominator}
 
 
 def _vstr(v) -> str:
     return "".join(str(x) for x in v)
+
+
+# report fields that hold a vertex or a tuple of vertices
+_VERTEX_FIELDS = frozenset({"candidate", "least_vertex", "vertices"})
+
+
+def _json(x, vertices=False):
+    """The JSON form of a report, or of anything a report holds.
+
+    A report is written as its fields by name, a Fraction as {"num", "den"},
+    a word or a ray as its text and a tuple as a list; a vertex, in a vertex
+    field or wherever vertices is set, is a digit string.
+    """
+    if x is None or isinstance(x, (int, str)):
+        return x
+    if hasattr(x, "denominator"):  # a Fraction; ints have one too, so they go first
+        return {"num": x.numerator, "den": x.denominator}
+    if isinstance(x, (Word, BoundaryPoint)):
+        return str(x)
+    if isinstance(x, (tuple, list)):
+        if all(isinstance(i, int) for i in x):  # letters, table rows, edges
+            return _vstr(x) if vertices else list(x)
+        return [_json(v, vertices) for v in x]
+    fields = x if isinstance(x, dict) else vars(x)  # a report: its fields by name
+    return {name: _json(v, name in _VERTEX_FIELDS) for name, v in fields.items()}
 
 
 def _load_gens(args) -> dict[str, Automorphism]:
@@ -81,58 +104,21 @@ def _add_source(p: argparse.ArgumentParser):
     p.add_argument("--gens", help="comma-separated generator names to keep, in order")
 
 
-def _folner_json(rep) -> dict:
-    return {
-        "level": rep.level,
-        "size": rep.size,
-        "boundary": rep.boundary,
-        "ratio": _frac(rep.ratio),
-        "bound": _frac(rep.bound),
-        "candidate": [_vstr(v) for v in rep.candidate],
-        "components": [
-            {
-                "size": c.size,
-                "boundary": c.boundary,
-                "ratio": _frac(c.ratio),
-                "least_vertex": _vstr(c.least_vertex),
-            }
-            for c in rep.components
-        ],
-    }
-
-
-def _relations_json(rep) -> dict:
-    return {
-        "max_len": rep.max_len,
-        "complete": rep.complete,
-        "relators": [str(w) for w in rep.relators],
-    }
-
-
 def _partial_json(partial):
-    if partial is None:
-        return None
-    from .freeness import RelationReport
-
-    if isinstance(partial, RelationReport):
-        return _relations_json(partial)
-    if isinstance(partial, dict):
+    """What a budget left, in the JSON form of what it stands for."""
+    if isinstance(partial, dict):  # the ball's {element: word} map
         return sorted(str(w) for w in partial.values())
-    if isinstance(partial, (tuple, list, set, frozenset)):
-        return sorted(_vstr(v) for v in partial)
-    return str(partial)
+    return _json(partial, vertices=True)  # a report, orbit vertices or None
 
 
 # -- commands -------------------------------------------------------------------
 
 
 def _cmd_eval(args) -> int:
-    gens = _load_gens(args)
+    g = evaluate_word(_load_gens(args), args.word)
     if ":" in args.target:
-        image = apply_boundary(evaluate_word(gens, args.word), BoundaryPoint.parse(args.target))
-        return _emit(str(image))
-    image = apply(evaluate_word(gens, args.word), args.target)
-    return _emit(_vstr(image))
+        return _emit(apply_boundary(g, BoundaryPoint.parse(args.target)))
+    return _emit(_vstr(apply(g, args.target)))
 
 
 def _cmd_classify(args) -> int:
@@ -145,7 +131,7 @@ def _cmd_classify(args) -> int:
     out["witness"] = cls.witness
     if cls.kind in ("finitary", "bounded"):
         d = directions(g)
-        out["directions"] = [str(p) for p in d.points]
+        out["directions"] = d.points
         out["finitary_depth"] = d.finitary_depth
     return _emit(out)
 
@@ -163,7 +149,7 @@ def _cmd_theta(args) -> int:
             theta_relative(gens, g, point, n, budget=args.budget)
             for n in range(args.levels + 1)
         ]
-        return _emit({"point": str(point), "theta_relative": counts})
+        return _emit({"point": point, "theta_relative": counts})
     return _emit({"theta": theta_sequence(g, args.levels)})
 
 
@@ -174,8 +160,8 @@ def _cmd_measure(args) -> int:
     g = evaluate_word(gens, args.word)
     return _emit(
         {
-            "singular_measure": _frac(singular_measure(g)),
-            "empirical": [_frac(x) for x in empirical_measure_sequence(g, args.levels)],
+            "singular_measure": singular_measure(g),
+            "empirical": empirical_measure_sequence(g, args.levels),
         }
     )
 
@@ -198,17 +184,8 @@ def _cmd_nucleus(args) -> int:
 
 def _cmd_germs(args) -> int:
     gens = _load_gens(args)
-    rep = germ_group(
-        gens, BoundaryPoint.parse(args.point), max_len=args.max_len, budget=args.budget
-    )
     return _emit(
-        {
-            "point": str(rep.point),
-            "order": rep.order,
-            "complete": rep.complete,
-            "representatives": list(rep.representatives),
-            "table": [list(row) for row in rep.table],
-        }
+        germ_group(gens, BoundaryPoint.parse(args.point), max_len=args.max_len, budget=args.budget)
     )
 
 
@@ -227,14 +204,7 @@ def _cmd_schreier(args) -> int:
         lines.append("}")
         print("\n".join(lines))
         return 0
-    return _emit(
-        {
-            "level": gr.level,
-            "labels": list(gr.labels),
-            "vertices": [_vstr(v) for v in gr.vertices],
-            "edges": [list(e) for e in gr.edges],
-        }
-    )
+    return _emit(gr)
 
 
 def _cmd_folner(args) -> int:
@@ -242,33 +212,23 @@ def _cmd_folner(args) -> int:
 
     gens = _load_gens(args)
     if args.profile is not None:
-        reps = isoperimetric_profile(gens, args.profile, budget=args.budget)
-        return _emit({"profile": [_folner_json(r) for r in reps]})
-    return _emit(_folner_json(folner_candidate(gens, args.level, budget=args.budget)))
+        return _emit({"profile": isoperimetric_profile(gens, args.profile, budget=args.budget)})
+    return _emit(folner_candidate(gens, args.level, budget=args.budget))
 
 
 def _cmd_relations(args) -> int:
     from .freeness import find_relations
 
     gens = _load_gens(args)
-    return _emit(_relations_json(find_relations(gens, args.max_len, budget=args.budget)))
+    return _emit(find_relations(gens, args.max_len, budget=args.budget))
 
 
 def _cmd_stabilizer(args) -> int:
     from .freeness import stabilizer_search
 
     gens = _load_gens(args)
-    sample = stabilizer_search(
-        gens, BoundaryPoint.parse(args.point), args.max_len, budget=args.budget
-    )
     return _emit(
-        {
-            "point": str(sample.point),
-            "max_len": sample.max_len,
-            "complete": sample.complete,
-            "words": [str(w) for w in sample.words],
-            "germ_trivial": list(sample.germ_trivial),
-        }
+        stabilizer_search(gens, BoundaryPoint.parse(args.point), args.max_len, budget=args.budget)
     )
 
 
@@ -288,7 +248,7 @@ def _cmd_trichotomy(args) -> int:
         probe = _faithfulness_probe_in(elements, p, args.max_len)
         points.append(
             {
-                "point": str(p),
+                "point": p,
                 "germ_order": germs.order,
                 "germ_complete": germs.complete,
                 "free_like_stabilizer": probe.has_free_like,
@@ -297,14 +257,13 @@ def _cmd_trichotomy(args) -> int:
     names = sorted(gens)
     certificate = None
     if len(names) >= 2:
-        ev = free_subgroup_certificate(
+        certificate = free_subgroup_certificate(
             gens, names[0], names[1], max_len=args.max_len, budget=args.budget
         )
-        certificate = asdict(ev)
     return _emit(
         {
-            "relations": _relations_json(relations),
-            "folner_ratios": [_frac(r.ratio) for r in profile],
+            "relations": relations,
+            "folner_ratios": [r.ratio for r in profile],
             "points": points,
             "free_certificate": certificate,
         }
@@ -413,15 +372,16 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except BudgetExceeded as exc:
-        payload = {
-            "error": "budget exceeded",
-            "detail": str(exc),
-            "partial": _partial_json(exc.partial),
-            "budget": exc.budget,
-            "spent": exc.spent,
-            "limit": exc.limit,
-        }
-        print(json.dumps(payload, sort_keys=True, indent=2))
+        _emit(
+            {
+                "error": "budget exceeded",
+                "detail": str(exc),
+                "partial": _partial_json(exc.partial),
+                "budget": exc.budget,
+                "spent": exc.spent,
+                "limit": exc.limit,
+            }
+        )
         return 2
     except MachineParseError as exc:
         print("machine file error: %s" % exc, file=sys.stderr)

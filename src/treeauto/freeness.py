@@ -134,10 +134,9 @@ def find_relations(
         raise ValueError("budget must be nonnegative")
     spent = 0
 
-    shortcut_ok = all(
-        not g.is_identity() and not compose(g, g).is_identity() for g in gens.values()
-    )
-    if shortcut_ok:
+    # the fast path needs every generator neither trivial nor an involution:
+    # exactly the generators that symmetric_letters gives two letters
+    if len(steps) == 2 * len(gens):
         for _, known in _distinct_words(steps, (max_len + 1) // 2):
             spent += 1
             if spent > budget:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from .core import Automorphism, _alphabet
+from .core import Automorphism, _alphabet, _right_machine
 
 
 class MachineParseError(ValueError):
@@ -156,39 +156,34 @@ def dump_machine(gens: Mapping[str, Automorphism]) -> str:
 
     States are the distinct sections reachable from the generators; each is
     written once.  A state that equals a generator keeps that generator's
-    name, the rest are named q1, q2, ... in discovery order, so the output
-    is deterministic and parse_machine(dump_machine(g)) == g.
+    name, the rest are named q1, q2, ... in breadth-first discovery order,
+    so the output is deterministic and parse_machine(dump_machine(g)) == g.
     """
     k = _alphabet(gens)
-
-    names: dict[Automorphism, str] = {Automorphism.identity(k): "e"}
-    aliases: list[tuple[str, Automorphism]] = []
-    order: list[Automorphism] = []
-    queue: list[Automorphism] = []
-    for name, g in gens.items():
-        if g in names:
-            aliases.append((name, g))
-            continue
-        names[g] = name
-        order.append(g)
-        queue.append(g)
-    counter = 0
-    while queue:
-        g = queue.pop(0)
-        for x in range(k):
-            s = g.section((x,))
-            if s not in names:
-                counter += 1
-                names[s] = "q%d" % counter
-                order.append(s)
-                queue.append(s)
+    # one machine for all generators, equal sections merged: state 0 is e
+    perms, trans, starts = _right_machine(gens.values())
+    names = {0: "e"}
+    order: list[int] = []
+    aliases: list[tuple[str, int]] = []
+    for name, s in zip(gens, starts):
+        if s in names:
+            aliases.append((name, s))
+        else:
+            names[s] = name
+            order.append(s)
+    exported = len(order)
+    for s in order:  # the list grows while it is walked
+        for t in trans[s]:
+            if t not in names:
+                names[t] = "q%d" % (len(order) - exported + 1)
+                order.append(t)
 
     lines = ["alphabet %d" % k]
-    for name, g in [(names[g], g) for g in order] + aliases:
+    for name, s in [(names[s], s) for s in order] + aliases:
         lines.append("state %s" % name)
-        lines.append("perm %s" % " ".join(str(i) for i in g.perms[g.initial]))
-        for x in range(k):
-            lines.append("on %d -> %s" % (x, names[g.section((x,))]))
+        lines.append("perm %s" % " ".join(str(i) for i in perms[s]))
+        for x, t in enumerate(trans[s]):
+            lines.append("on %d -> %s" % (x, names[t]))
     for name in gens:
         lines.append("initial %s" % name)
     return "\n".join(lines) + "\n"

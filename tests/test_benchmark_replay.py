@@ -1,10 +1,12 @@
 """The benchmark's frozen results, replayed inside the test suite.
 
-One seeded pass of each library workload of perfbench runs through the
-benchmark's own check: its independent oracles and the digests of
-canonical results frozen in perfbench/expected.json.  A change to any
-canonical value, the exact state numbering included, fails here and not
-only in a benchmark run.  The cli workload is left to acceptance test 10.
+One seeded pass of each workload of perfbench runs through the
+benchmark's own check: its independent oracles, the digests of canonical
+results and the CLI stdouts frozen in perfbench/expected.json.  A change
+to any canonical value, the exact state numbering included, or to one
+byte of a command's output fails here and not only in a benchmark run.
+The cli commands run in process through treeauto.cli.main (0.07 s for all
+of them), not in the child interpreters the benchmark starts.
 """
 
 import importlib.util
@@ -29,14 +31,14 @@ def workloads():
         del sys.modules[spec.name]
 
 
-@pytest.mark.parametrize("workload", ["free_words", "contracting", "levels"])
+@pytest.mark.parametrize("workload", ["free_words", "contracting", "levels", "cli"])
 def test_one_seeded_pass_matches_the_frozen_results(workloads, workload):
     expected = workloads.load_expected()
     # the draw of pass 0 under seed 1, as perfbench/run.py makes it
     tasks = workloads.PASSES[workload](random.Random("%s:1:0" % workload))
     faults = []
     for task in tasks:
-        result = task.run()
+        result = workloads.run_cli_inprocess(task.argv) if task.argv else task.run()
         print_ = workloads.fingerprint(task, result) if task.frozen else None
         error = workloads.check(task, result, print_, expected)
         if error is not None:

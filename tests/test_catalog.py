@@ -8,7 +8,10 @@ from treeauto.catalog import (
     integer_tree_crosscheck,
     tullio_integer_action,
 )
+from treeauto.activity import classify_activity
 from treeauto.core import apply, evaluate_word, section
+from treeauto.freeness import find_relations
+from treeauto.nucleus import nucleus
 
 
 def test_builtin_listing():
@@ -101,3 +104,30 @@ def test_expected_metadata_is_present():
         assert ent.summary
         for g in ent.generators.values():
             assert g.k == ent.alphabet
+
+
+def _class_label(g) -> str:
+    """An activity class as the expected blocks write it: the kind, with
+    the depth of a finitary and the degree of a polynomial one."""
+    cls = classify_activity(g)
+    extra = {"finitary": cls.depth, "polynomial": cls.degree}.get(cls.kind)
+    return cls.kind if extra is None else "%s:%d" % (cls.kind, extra)
+
+
+def test_expected_blocks_are_rederived():
+    for name, ent in builtin().items():
+        want = ent.expected
+        assert set(want) <= {
+            "classes", "contracting", "nucleus_size", "relators", "relators_max_len"
+        }, name
+        gens = ent.generators
+        for g_name, label in want["classes"].items():
+            assert _class_label(gens[g_name]) == label, (name, g_name)
+        res = nucleus(gens)
+        assert (res.status == "found") is want["contracting"], name
+        if "nucleus_size" in want:
+            assert res.size == want["nucleus_size"], name
+        if "relators" in want:
+            rep = find_relations(gens, want["relators_max_len"])
+            assert rep.complete, name
+            assert [str(w) for w in rep.relators] == want["relators"], name

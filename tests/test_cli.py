@@ -164,6 +164,18 @@ def test_trichotomy_command():
     assert out["free_certificate"]["status"] == "relation_found"
 
 
+def test_a_certificate_partial_is_the_report_it_stands_for(capsys):
+    argv = ["trichotomy", "-f", "aleshin", "--max-len", "4", "--budget", "100", "--levels", "1"]
+    assert main(argv) == 2
+    payload = json.loads(capsys.readouterr().out)
+    evidence = {"checked_len": 3, "pair": ["a", "b"], "relation": None, "status": "free_up_to"}
+    assert payload["partial"] == evidence
+    assert (payload["budget"], payload["spent"]) == ("certificate", 101)
+    # the same report from a run that completes, printed the same way
+    assert main(["trichotomy", "-f", "aleshin", "--max-len", "3", "--levels", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["free_certificate"] == evidence
+
+
 def test_trichotomy_builds_one_ball_per_point(monkeypatch, capsys):
     # the package re-exports a function named nucleus, so look modules up by name
     modules = [import_module("treeauto." + m) for m in ("nucleus", "freeness", "cli")]
@@ -271,22 +283,36 @@ def test_output_is_deterministic():
         assert first[0] == 0
 
 
-def _modules_after(argv):
-    """treeauto's heavy modules loaded after main(argv) in a fresh interpreter."""
+_HEAVY = ("treeauto.activity", "treeauto.schreier", "treeauto.freeness")
+
+
+def _modules_after(argv, watched=_HEAVY):
+    """The watched modules (treeauto's heavy ones by default) loaded after
+    main(argv) in a fresh interpreter."""
     code = (
         "import contextlib, io, sys\n"
         "from treeauto.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    assert main(%r) == 0\n"
-        "print(' '.join(sorted(m for m in sys.modules if m.startswith('treeauto.'))))\n"
+        "print(' '.join(sorted(sys.modules)))\n"
     ) % (list(argv),)
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    heavy = {"treeauto.activity", "treeauto.schreier", "treeauto.freeness"}
-    return heavy.intersection(proc.stdout.split())
+    return set(watched).intersection(proc.stdout.split())
 
 
 def test_each_command_loads_only_what_it_runs():
     assert _modules_after(["catalog", "list"]) == set()
     assert _modules_after(["eval", "-f", "grigorchuk", "a b", "0110"]) == set()
     assert _modules_after(["classify", "-f", "grigorchuk", "b"]) == {"treeauto.activity"}
+
+
+def test_printing_a_report_loads_no_fractions():
+    # the encoder tells a Fraction by its denominator, so commands whose
+    # reports hold none never load fractions, or the decimal module it pulls in
+    for argv in (
+        ["relations", "-f", "grigorchuk", "--max-len", "3"],
+        ["germs", "-f", "grigorchuk", "--point", ":1", "--max-len", "4"],
+        ["stabilizer", "-f", "tullio", "--point", ":0", "--max-len", "2"],
+    ):
+        assert _modules_after(argv, ("fractions", "decimal")) == set(), argv

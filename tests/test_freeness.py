@@ -241,8 +241,9 @@ def compose_calls(monkeypatch):
 
 def test_relation_fast_path_tells_words_apart_without_products(compose_calls):
     assert find_relations(entry("aleshin").generators, 8) == RelationReport(8, (), True)
-    # composing once per word took 939 products here
-    assert len(compose_calls) <= 10
+    # composing once per word took 939 products here; the letters alone
+    # tell that no generator is trivial or an involution
+    assert len(compose_calls) == 0
 
 
 def test_free_pair_certificate_tells_words_apart_without_products(compose_calls):
