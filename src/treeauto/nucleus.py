@@ -113,16 +113,15 @@ def nucleus(
         return done("exceeded", 0, "size limit")
 
     generations = 0
-    seen_pairs: set[tuple[Automorphism, Automorphism]] = set()
+    old: set[Automorphism] = set()  # the last sweep's members, all pairs composed
     while True:
         generations += 1
         fresh: set[Automorphism] = set()
         members = sorted(N, key=Automorphism.sort_key)
         for g in members:
             for h in members:
-                if (g, h) in seen_pairs:
+                if g in old and h in old:
                     continue
-                seen_pairs.add((g, h))
                 for s in limit_states(compose(g, h)):
                     if s not in N and s not in fresh:
                         fresh.add(s)
@@ -131,7 +130,7 @@ def nucleus(
                             return done("exceeded", generations, "size limit")
         if not fresh:
             return done("found", generations)
-        N |= fresh
+        old, N = N, N | fresh
         if generations >= max_depth:
             return done("exceeded", generations, "generation limit")
 

@@ -9,11 +9,12 @@ level into components that make good Folner candidates.
 The boundary of a vertex set counts the directed edges from the set that
 genuinely disturb it: edges (v, s) with s(v) != v that either leave the
 set or carry a nontrivial section.  Loops never count, nor do trivial
-edges inside the set.  For a reduced-graph component every counted edge
-has a nontrivial section, so summing over all components stays below the
-total activity of the generators; that gives the per-level bound
-sum_s theta(s, n) / k^n, and the reported candidate always satisfies
-ratio <= bound.
+edges inside the set.  Trivial edges come in inverse pairs (g(u) = w with
+g|_u trivial gives g^-1(w) = u with g^-1|_w trivial), so a reduced-graph
+component is what its trivial edges reach forward and none leaves it: a
+component's boundary counts only nontrivial sections, in all at most the
+generators' activity, so the candidate's ratio is at most the per-level
+bound sum_s theta(s, n) / k^n.
 
 Whole levels come from core.level_action: the level-n vertex x_1 ... x_n
 is the integer with base-k digits x_1 ... x_n, first letter most
@@ -143,6 +144,8 @@ def schreier_graph(
 def _level_vertices(k: int, level: int, budget: int) -> int:
     if budget < 1:
         raise ValueError("budget must be at least 1")
+    if level < 0:
+        raise ValueError("level must be nonnegative")
     if k ** level > budget:
         raise BudgetExceeded(
             "level %d has %d vertices, over the budget of %d" % (level, k ** level, budget),
@@ -151,34 +154,38 @@ def _level_vertices(k: int, level: int, budget: int) -> int:
     return k ** level
 
 
-def _find(root: list[int], u: int) -> int:
-    while root[u] != u:
-        root[u] = root[root[u]]
-        u = root[u]
-    return u
-
-
 def _reduced_graph(gens: Mapping[str, Automorphism], level: int, budget: int):
-    """(k, the level actions of the symmetrized generators, root, components).
+    """(k, components, boundaries, active) of the level's reduced graph.
 
-    root[v] is the least vertex of v's reduced-graph component (union-find over
-    the trivial edges, keeping the smaller root); components are in root order.
+    One labelling pass over the level rows: each unlabelled vertex, in
+    increasing order, starts a component, grown along trivial edges forward
+    (module docstring; an involution is its own inverse), so components come
+    in order of least vertex.  boundaries[i] counts component i's moving
+    edges with a nontrivial section (a trivial edge stays inside), active
+    every nontrivial section on the level, sum_s theta(s, level).
     """
     syms = list(symmetrize(gens).values())
     k = syms[0].k
-    size = _level_vertices(k, level, budget)
+    labelled = bytearray(_level_vertices(k, level, budget))
     actions = [level_action(g, level) for g in syms]
-    root = list(range(size))
-    for images, states in actions:
-        for u, w, s in zip(range(size), images, states):
-            if s == 0 and u < w:  # w -> u is the inverse's trivial edge
-                u, w = _find(root, u), _find(root, w)
-                root[max(u, w)] = min(u, w)
-    comps: dict[int, list[int]] = {}
-    for u in range(size):  # roots never exceed their vertex, so one pass flattens
-        root[u] = root[root[u]]
-        comps.setdefault(root[u], []).append(u)
-    return k, actions, root, list(comps.values())
+    components, boundaries, active = [], [], 0
+    for v in range(len(labelled)):
+        if labelled[v]:
+            continue
+        labelled[v] = 1
+        comp, boundary = [v], 0
+        for u in comp:  # the list grows while it is walked
+            for images, states in actions:
+                w = images[u]
+                if states[u]:
+                    active += 1
+                    boundary += w != u
+                elif not labelled[w]:
+                    labelled[w] = 1
+                    comp.append(w)
+        components.append(sorted(comp))
+        boundaries.append(boundary)
+    return k, components, boundaries, active
 
 
 def gamma_prime_components(
@@ -187,7 +194,7 @@ def gamma_prime_components(
     budget: int = 10 ** 6,
 ) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """Components of the level graph restricted to trivial-section edges."""
-    k, _, _, comps = _reduced_graph(gens, level, budget)
+    k, comps, _, _ = _reduced_graph(gens, level, budget)
     verts = list(product(range(k), repeat=level))
     return tuple(tuple(verts[u] for u in comp) for comp in comps)
 
@@ -225,20 +232,12 @@ def folner_candidate(
 ) -> FolnerReport:
     if level < 1:
         raise ValueError("level must be at least 1")
-    k, actions, root, comps = _reduced_graph(gens, level, budget)
-    boundary = [0] * len(root)
-    for images, states in actions:
-        for u, w, s in zip(range(len(root)), images, states):
-            if w != u and (s != 0 or root[w] != root[u]):
-                boundary[root[u]] += 1
-    # the activity theta(g, level) of a generator is its count of nonzero states
-    bound = Fraction(sum(len(st) - st.count(0) for _, st in actions), k ** level)
-    del actions, images, states  # free the level arrays before the vertex tuples are made
+    k, comps, boundaries, active = _reduced_graph(gens, level, budget)
     verts = list(product(range(k), repeat=level))
-    summaries = []
-    for comp in comps:
-        b = boundary[comp[0]]
-        summaries.append(ComponentSummary(len(comp), b, Fraction(b, len(comp)), verts[comp[0]]))
+    summaries = [
+        ComponentSummary(len(comp), b, Fraction(b, len(comp)), verts[comp[0]])
+        for comp, b in zip(comps, boundaries)
+    ]
     order = sorted(
         range(len(comps)),
         key=lambda i: (summaries[i].ratio, -summaries[i].size, summaries[i].least_vertex),
@@ -250,7 +249,7 @@ def folner_candidate(
         size=summaries[best].size,
         boundary=summaries[best].boundary,
         ratio=summaries[best].ratio,
-        bound=bound,
+        bound=Fraction(active, k ** level),
         components=tuple(summaries[i] for i in order),
     )
 

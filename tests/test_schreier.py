@@ -155,6 +155,16 @@ def test_deep_level_is_refused_before_any_sweep(monkeypatch):
         folner_candidate(entry("grigorchuk").generators, 40)
 
 
+def test_negative_level_is_refused_before_any_sweep(monkeypatch):
+    monkeypatch.setattr(schreier, "level_action", _no_level_sweep)
+    gens = entry("grigorchuk").generators
+    with pytest.raises(ValueError, match="level must be nonnegative"):
+        gamma_prime_components(gens, -1)
+    # the budget is checked first, so both bad together keep its message
+    with pytest.raises(ValueError, match="budget must be at least 1"):
+        gamma_prime_components(gens, -1, budget=0)
+
+
 def test_theta_relative_checks_alphabets_before_any_orbit_work(monkeypatch):
     # a ternary g read against binary level rows would count the wrong vertices
     monkeypatch.setattr(schreier, "level_action", _no_level_sweep)
