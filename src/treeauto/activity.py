@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional
 
-from .core import Automorphism, BoundaryPoint, compose, invert, level_action
+from .core import Automorphism, BoundaryPoint, compose, invert
 
 
 def theta(g: Automorphism, n: int) -> int:
@@ -60,7 +60,7 @@ def theta_relative(
     budget: int = 10 ** 6,
 ) -> int:
     """Active vertices of g on the level-n orbit of the seed ray's prefix."""
-    from .schreier import _orbit
+    from .schreier import _orbit, _vertices
 
     if n < 0:
         raise ValueError("level must be nonnegative")
@@ -69,10 +69,7 @@ def theta_relative(
     keys = _orbit(gens, seed.prefix(n), budget)[3]
     if len(keys) == g.k ** n:
         return theta_sequence(g, n)[-1]
-    if isinstance(keys[0], int):  # a swept level: the keys index g's level row
-        states = level_action(g, n)[1]
-        return sum(1 for u in keys if states[u] != 0)
-    return sum(1 for v in keys if g._walk(v)[1] != 0)
+    return sum(1 for v in _vertices(keys, g.k, n) if g._walk(v)[1] != 0)
 
 
 # -- classification -----------------------------------------------------------

@@ -39,6 +39,12 @@ same argument; renumbered breadth-first from the start's block they are
 the canonical form of that one product, whatever the other starts
 added to the walk.  compose is the case of a single start.
 
+Every value that needs minimizing comes from _products; sections and
+inverses need only the renumbering above.  A declared machine
+(from_states) is the product of the identity with its tables: the pairs
+(0, s) reachable from (0, initial) are exactly the declared states that
+initial reaches, numbered breadth-first.
+
 Composition is right to left throughout: (compose(g, h))(v) = g(h(v)).
 """
 
@@ -189,25 +195,6 @@ class Automorphism:
 
     # -- construction ---------------------------------------------------
 
-    @staticmethod
-    def _build(k: int, perms, trans, initial: int) -> "Automorphism":
-        """Canonicalize a raw machine. Row 0 must already be the identity row.
-
-        The states reachable from `initial` are numbered breadth-first (0
-        stays 0, initial becomes 1), the numbering _canonical works on.
-        """
-        idrow = tuple(range(k))
-        assert perms[0] == idrow and all(t == 0 for t in trans[0])
-        if initial == 0:
-            return Automorphism.identity(k)
-        number, order = _numbering(trans, initial)
-        return _canonical(
-            k,
-            [idrow] + [perms[s] for s in order],
-            [[0] + [number[trans[s][x]] for s in order] for x in range(k)],
-            [1],
-        )[0]
-
     @classmethod
     def identity(cls, k: int) -> "Automorphism":
         if k < 2:
@@ -229,8 +216,7 @@ class Automorphism:
         not be declared.  `initial` names the starting state ("e" gives the
         identity automorphism).
         """
-        if k < 2:
-            raise ValueError("alphabet needs at least two letters")
+        e = cls.identity(k)
         if "e" in states:
             raise ValueError('"e" is reserved for the identity state')
         index = {"e": 0}
@@ -238,8 +224,7 @@ class Automorphism:
             index[name] = len(index)
         if initial not in index:
             raise ValueError("initial state %r is not declared" % initial)
-        perms = [tuple(range(k))]
-        trans = [(0,) * k]
+        perms, trans = list(e.perms), list(e.trans)
         for name, (perm, targets) in states.items():
             perm = tuple(int(x) for x in perm)
             if sorted(perm) != list(range(k)):
@@ -252,7 +237,8 @@ class Automorphism:
                 raise ValueError("state %r: unknown successor %s" % (name, err)) from None
             perms.append(perm)
             trans.append(row)
-        return cls._build(k, perms, trans, index[initial])
+        # the product of the identity with the declared tables (module docstring)
+        return _products(e, perms, trans, [index[initial]])[0]
 
     def _with_initial(self, s: int) -> "Automorphism":
         """The section at state s, by renumbering alone (module docstring)."""
@@ -464,24 +450,16 @@ def _right_machine(values) -> tuple[list, list, list]:
     return perms, trans, starts
 
 
-def _numbering(trans, initial: int) -> tuple[dict, list]:
-    """The states reachable from `initial` other than 0, in breadth-first
-    order of discovery (letters in order), and their numbers: 0 stays 0,
-    initial becomes 1, the others follow that order."""
-    number = {0: 0, initial: 1}
-    order = [initial]
-    for s in order:  # the list grows while it is walked
-        for t in trans[s]:
-            if t not in number:
-                number[t] = len(number)
-                order.append(t)
-    return number, order
-
-
 def _renumbered(k: int, perms, trans, s: int) -> Automorphism:
     """The automorphism at state s != 0 of a minimal machine's tables,
     its states numbered breadth-first as in the module docstring."""
-    number, order = _numbering(trans, s)
+    number = {0: 0, s: 1}
+    order = [s]
+    for t in order:  # the list grows while it is walked
+        for u in trans[t]:
+            if u not in number:
+                number[u] = len(number)
+                order.append(u)
     return Automorphism(
         k,
         (perms[0],) + tuple([perms[t] for t in order]),
@@ -691,8 +669,10 @@ def _distinct_words(letters, max_len: int):
     first word with it; a hit turns that entry into a map from value to
     word, and the child is told apart by one value probe, so neither a
     repeated key of distinct elements nor a hash collision moves the
-    sequence.  Only the layer being extended keeps its keys.  With no
-    level but 0 under the cap every word is a hit, and the walk is exact.
+    sequence.  The words on a repeated key are valued by evaluate_word
+    over the letters' generators.  Only the layer being extended keeps its
+    keys.  With no level but 0 under the cap every word is a hit, and the
+    walk is exact.
     """
     k = letters[0][1].k
     level = 0
@@ -702,15 +682,7 @@ def _distinct_words(letters, max_len: int):
         (letter, bytes(_perm_inverse(level_action(g, level)[0])).ljust(256, b"\0"))
         for letter, g in letters
     ]
-    value_of = dict(letters)
-    e = Automorphism.identity(k)
-
-    def value(word: Word) -> Automorphism:
-        elem = e
-        for letter in word.letters:
-            elem = compose(elem, value_of[letter])
-        return elem
-
+    gens = {name: g for (name, sign), g in letters if sign > 0}
     start = bytes(range(k ** level))
     seen = {hash(start): Word(())}
     layer = [(Word(()), start)]
@@ -729,8 +701,8 @@ def _distinct_words(letters, max_len: int):
                     known = None
                 else:
                     if not isinstance(entry, dict):
-                        entry = seen[h] = {value(entry): entry}
-                    elem = value(child)
+                        entry = seen[h] = {evaluate_word(gens, entry): entry}
+                    elem = evaluate_word(gens, child)
                     known = entry.get(elem)
                     if known is None:
                         entry[elem] = child

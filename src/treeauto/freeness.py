@@ -17,10 +17,10 @@ The fast path and free_subgroup_certificate only ask whether two words
 collide, so they walk core._distinct_words: words are told apart by their
 action on a level of the tree with at most 256 vertices, a homomorphism to
 a finite symmetric group, so distinct level actions prove distinct
-elements.  The words on a repeated level action are valued by composing,
-so a collision is reported only when the values are equal, and the walk
-reports the same words, in the same order, as one that composed once per
-word.  It holds one key of at most 256 bytes per word of the layer it
+elements.  The words on a repeated level action are valued by
+evaluate_word, so a collision is reported only when the values are equal,
+and the walk reports the same words, in the same order, as one that
+composed once per word.  It holds one key of at most 256 bytes per word of the layer it
 extends, and a value per word whose key repeats.
 
 Both exact paths take their products from one table per call that maps
@@ -69,7 +69,7 @@ from .core import (
     invert,
     symmetric_letters,
 )
-from .nucleus import _germ, ball
+from .nucleus import _stabilizer, ball
 from .words import Word, commutator
 
 WordLike = Union[str, Word]
@@ -310,17 +310,6 @@ class StabilizerSample:
     complete: bool
 
 
-def _stabilizer_elements(elements, point) -> list:
-    """(word, element, germ key) of the nontrivial ball elements fixing the ray, length-lex."""
-    hits = [
-        (word, elem, germ)
-        for elem, word in elements.items()
-        if not elem.is_identity() and (germ := _germ(elem, point)) is not None
-    ]
-    hits.sort(key=lambda p: (len(p[0].letters), _display_key(p[0].letters)))
-    return hits
-
-
 def stabilizer_search(
     gens: Mapping[str, Automorphism],
     point: BoundaryPoint,
@@ -328,7 +317,7 @@ def stabilizer_search(
     budget: int = 100000,
 ) -> StabilizerSample:
     elements, closed = ball(gens, max_len, budget)
-    hits = _stabilizer_elements(elements, point)
+    hits = _stabilizer(elements, point)[1:]  # the ball's identity comes first
     return StabilizerSample(
         point=point,
         max_len=max_len,
@@ -366,7 +355,7 @@ def germ_faithfulness_probe(
 
 def _faithfulness_probe_in(elements, point: BoundaryPoint, max_len: int) -> FaithfulnessProbe:
     """germ_faithfulness_probe over the elements of a ball that is already enumerated."""
-    hits = _stabilizer_elements(elements, point)
+    hits = _stabilizer(elements, point)[1:]  # the ball's identity comes first
     elems = [elem for _, elem, _ in hits]
 
     def comm(x: Automorphism, y: Automorphism) -> Automorphism:

@@ -13,10 +13,17 @@ root permutation and one `on <letter> -> <target>` line per letter; `e` is
 the reserved identity state and needs no block.  Each `initial <name>` line
 exports the named state as a generator, so one file can carry a whole
 generating set with shared states.
+
+dump_machine writes any generators that parse back equal: a state equal
+to a generator keeps its name, the other states are named q1, q2, ...,
+skipping the generators' names, and a generator named `e` must be the
+identity and is written only as `initial e`.  A generator name that is
+empty or holds whitespace or # cannot be written and is refused.
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import Mapping
 
 from .core import Automorphism, _alphabet, _right_machine
@@ -138,11 +145,7 @@ def parse_machine(text: str) -> dict[str, Automorphism]:
             raise MachineParseError("initial %r names no state" % name, lineno)
         if name in out:
             raise MachineParseError("generator %r exported twice" % name, lineno)
-        out[name] = (
-            Automorphism.identity(alphabet)
-            if name == "e"
-            else Automorphism.from_states(alphabet, table, name)
-        )
+        out[name] = Automorphism.from_states(alphabet, table, name)  # "e" is the identity
     return out
 
 
@@ -157,25 +160,32 @@ def dump_machine(gens: Mapping[str, Automorphism]) -> str:
     States are the distinct sections reachable from the generators; each is
     written once.  A state that equals a generator keeps that generator's
     name, the rest are named q1, q2, ... in breadth-first discovery order,
-    so the output is deterministic and parse_machine(dump_machine(g)) == g.
+    skipping the generators' names, so the output is deterministic and
+    parse_machine(dump_machine(g)) == g.  Raises ValueError for a name the
+    format cannot hold (module docstring).
     """
     k = _alphabet(gens)
+    for name, g in gens.items():
+        if name.split() != [name] or "#" in name:
+            raise ValueError("generator name %r is empty or holds whitespace or '#'" % name)
+        if name == "e" and not g.is_identity():
+            raise ValueError('"e" is reserved for the identity state; generator "e" is not the identity')
     # one machine for all generators, equal sections merged: state 0 is e
     perms, trans, starts = _right_machine(gens.values())
     names = {0: "e"}
     order: list[int] = []
     aliases: list[tuple[str, int]] = []
     for name, s in zip(gens, starts):
-        if s in names:
-            aliases.append((name, s))
-        else:
+        if s not in names:
             names[s] = name
             order.append(s)
-    exported = len(order)
+        elif name != "e":
+            aliases.append((name, s))
+    fresh = ("q%d" % i for i in itertools.count(1) if "q%d" % i not in gens)
     for s in order:  # the list grows while it is walked
         for t in trans[s]:
             if t not in names:
-                names[t] = "q%d" % (len(order) - exported + 1)
+                names[t] = next(fresh)
                 order.append(t)
 
     lines = ["alphabet %d" % k]

@@ -295,10 +295,15 @@ def germ_group(
     return _germ_group_in(ball(gens, max_len, budget)[0], point, max_order)
 
 
+def _stabilizer(elements, point: BoundaryPoint) -> list:
+    """(word, element, germ key) of the ball elements fixing the ray, in ball
+    order: by length, then letter by letter in symmetric_letters order."""
+    return [(w, g, germ) for g, w in elements.items() if (germ := _germ(g, point)) is not None]
+
+
 def _germ_group_in(elements, point: BoundaryPoint, max_order: int = 64) -> GermGroupReport:
     """germ_group over the elements of a ball that is already enumerated."""
-    stab = [(w, g, germ) for g, w in elements.items() if (germ := _germ(g, point)) is not None]
-    stab.sort(key=lambda p: (len(p[0].letters), p[0].letters))
+    stab = sorted(_stabilizer(elements, point), key=lambda p: (len(p[0].letters), p[0].letters))
     classes: dict[tuple[Automorphism, ...], int] = {}  # germ key read as values -> class
     reps: list[tuple[Word, Automorphism]] = []  # a new class is represented by word()
 

@@ -229,6 +229,12 @@ def test_gens_restricts_the_generating_set():
     assert "no generator 'x'" in err
 
 
+def test_empty_gens_names_no_generator(capsys):
+    for picked in ("", ",", " "):
+        assert main(["nucleus", "-f", "grigorchuk", "--gens", picked]) == 1, picked
+        assert capsys.readouterr() == ("", "error: no generator '' (have: a, b, c, d)\n"), picked
+
+
 def test_catalog_list_and_dump():
     out = run_json("catalog", "list")
     names = [f["name"] for f in out["families"]]

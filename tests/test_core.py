@@ -257,6 +257,28 @@ initial a
 """
 
 
+def test_from_states_refusals():
+    flip = {"a": ((1, 0), ("e", "a"))}
+    cases = [
+        ((1, flip, "a"), "alphabet needs at least two letters"),
+        ((2, {"e": ((0, 1), ("e", "e"))}, "e"), '"e" is reserved for the identity state'),
+        ((2, flip, "b"), "initial state 'b' is not declared"),
+        ((2, {"a": ((1, 1), ("e", "a"))}, "a"), "state 'a': (1, 1) is not a permutation of 0..1"),
+        ((2, {"a": ((1, 0, 2), ("e", "a"))}, "a"), "state 'a': (1, 0, 2) is not a permutation of 0..1"),
+        ((2, {"a": ((1, 0), ("e",))}, "a"), "state 'a' needs 2 successors, got 1"),
+        ((2, {"a": ((1, 0), ("e", "b"))}, "a"), "state 'a': unknown successor 'b'"),
+    ]
+    for args, message in cases:
+        with pytest.raises(ValueError) as err:
+            Automorphism.from_states(*args)
+        assert str(err.value) == message, args
+
+
+def test_from_states_initial_e_is_the_identity():
+    assert Automorphism.from_states(2, {"a": ((1, 0), ("e", "a"))}, "e") == identity(2)
+    assert Automorphism.from_states(3, {}, "e") == identity(3)
+
+
 def test_parse_machine():
     gens = parse_machine(ADDING_FILE)
     assert list(gens) == ["a"]
@@ -264,8 +286,12 @@ def test_parse_machine():
 
 
 def test_dump_parse_round_trip():
-    for name in ("adding_machine", "tullio", "grigorchuk", "basilica", "gupta_sidki_3", "aleshin"):
-        gens = builtin()[name].generators
+    names = ("adding_machine", "tullio", "grigorchuk", "basilica", "gupta_sidki_3", "aleshin")
+    inputs = [builtin()[name].generators for name in names]
+    # a generator named e, and a generator named like the first fresh state name
+    inputs.append(parse_machine(ADDING_FILE + "initial e\n"))
+    inputs.append({"q1": builtin()["grigorchuk"].generators["b"]})
+    for gens in inputs:
         again = parse_machine(dump_machine(gens))
         assert list(again) == list(gens)
         assert again == dict(gens)
@@ -291,6 +317,17 @@ def test_parse_errors_carry_line_numbers():
         with pytest.raises(MachineParseError) as err:
             parse_machine(text)
         assert err.value.line == line, (text, hint)
+
+
+@pytest.mark.parametrize("name", ["a#", "a b", "", "a\tb"])
+def test_dump_refuses_names_the_format_cannot_hold(name):
+    with pytest.raises(ValueError, match="empty or holds whitespace or '#'"):
+        dump_machine({"b": B, name: A})
+
+
+def test_dump_refuses_a_nontrivial_generator_named_e():
+    with pytest.raises(ValueError, match='generator "e" is not the identity'):
+        dump_machine({"e": A})
 
 
 def test_identity_generator_round_trips():

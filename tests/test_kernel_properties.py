@@ -203,9 +203,10 @@ def test_inverse(drawn):
 
 
 def assert_sections_by_renumbering(g: Automorphism):
-    """_with_initial against the canonicalizing build of each section."""
+    """_with_initial against each section canonicalized from scratch: the
+    product of the identity with g's tables started at the section's state."""
     for s in range(g.state_count):
-        assert g._with_initial(s) == Automorphism._build(g.k, g.perms, g.trans, s), s
+        assert g._with_initial(s) == core._products(identity(g.k), g.perms, g.trans, [s])[0], s
 
 
 @PROPERTIES

@@ -6,7 +6,6 @@ import pytest
 from treeauto import core
 from treeauto.catalog import builtin, entry
 from treeauto.core import (
-    Automorphism,
     BoundaryPoint,
     BudgetExceeded,
     evaluate_word,
@@ -266,7 +265,7 @@ def reference_is_self_similar(gens, max_len, budget=100000):
     for name in sorted(gens):
         g = gens[name]
         for x in range(g.k):
-            section = Automorphism._build(g.k, g.perms, g.trans, g.trans[g.initial][x])
+            section = core._products(identity(g.k), g.perms, g.trans, [g.trans[g.initial][x]])[0]
             found = elements.get(section)
             witnesses[(name, x)] = None if found is None else str(found)
     if None not in witnesses.values():
