@@ -33,7 +33,7 @@ from .core import (
     evaluate_word,
 )
 from .machine_io import MachineParseError, dump_machine, parse_machine_file
-from .nucleus import _germ_group_in, ball, germ_group, is_self_similar, nucleus
+from .nucleus import _germ_group_in, _stabilizer, ball, germ_group, is_self_similar, nucleus
 
 
 class _Parser(argparse.ArgumentParser):
@@ -242,8 +242,9 @@ def _cmd_trichotomy(args) -> int:
         elements, _ = ball(gens, args.max_len, budget=args.budget)
     for text in args.point or []:
         p = BoundaryPoint.parse(text)
-        germs = _germ_group_in(elements, p)
-        probe = _faithfulness_probe_in(elements, p, args.max_len)
+        stab = _stabilizer(elements, p)
+        germs = _germ_group_in(stab, p)
+        probe = _faithfulness_probe_in(stab, p, args.max_len)
         points.append(
             {
                 "point": p,

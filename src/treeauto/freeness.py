@@ -5,13 +5,13 @@ generator, plus a formal inverse letter for each generator that is not an
 involution.  Only opposite signs cancel, so for an involution b the word
 b b is a legitimate (and typically the first) relator.
 
-find_relations has a fast path and two exact paths.  When no generator is
+find_relations has a fast path and one exact path.  When no generator is
 trivial or an involution, injectivity of evaluation on all words of half
 the requested length already rules out every relator: a cyclically
 reduced relator w = u v would force the distinct half-words u and the
 formal inverse of v to evaluate equally.  Involutions break that argument
 (u and the inverse respelling of v can be the same word), so their
-presence forces an exact search.
+presence forces the exact path.
 
 The fast path and free_subgroup_certificate only ask whether two words
 collide, so they walk core._distinct_words: words are told apart by their
@@ -23,31 +23,28 @@ and the walk reports the same words, in the same order, as one that
 composed once per word.  It holds one key of at most 256 bytes per word of the layer it
 extends, and a value per word whose key repeats.
 
-Both exact paths take their products from one table per call that maps
-(prefix value, letter) to the product, so in a contracting group, where
-the words take few distinct values, compose runs once per value and
-letter instead of once per word.  The depth-first search walks the reduced
-words, records the trivial ones and prunes their extensions; its last
-letter costs no product, since u x is trivial exactly when u equals x^-1.
-It reaches each reduced word of length 1..max_len at most once, so when
-the budget left after the fast path covers all of them it cannot run out,
-and find_relations reads the relators off half-length value classes
-instead: a reduced word of length l is trivial exactly when its first
-ceil(l/2) letters u and the formal inverse v of the rest evaluate equally,
-so grouping the reduced words up to half the length by value gives every
-trivial reduced word once, as a pair (u, v) in one class, with one product
-per short word.  A trivial word is listed under the search's rule
-(cyclically reduced, no rotation with a trivial proper prefix), read off
-that set with no products.  A budget that could run out keeps the
-depth-first search, whose partial report and spend are those of a search
-that composed once per word.
+The exact path reads the relators off half-length value classes: a
+reduced word of length l is trivial exactly when its first ceil(l/2)
+letters u and the formal inverse v of the rest evaluate equally.  It
+extends the reduced words one letter at a time, groups each length m by
+value and forms the trivial words of length 2m - 1 and 2m as pairs (u, v)
+in one class, against the previous length and this one.  A trivial word
+is not extended: a listed relator, and every trivial cyclic factor with
+no trivial proper factor, has no trivial proper prefix or suffix, so both
+of its halves are still reached.  A trivial word is listed when it is
+cyclically reduced and no rotation has a trivial proper prefix, read off
+the trivial words formed, with no products.  The products come from one
+table per call that maps (prefix value, letter) to the product, so in a
+contracting group, where the words take few distinct values, compose runs
+once per value and letter instead of once per word.
 
-Budgets: find_relations counts words reached, one per word extension,
-table hits and last-letter tests included, one count shared by the fast
-path and the depth-first search; free_subgroup_certificate counts words
-reached as well.  Both counts equalled the compositions of a search that
-composed once per word, and neither changed when the searches stopped
-doing so.
+Budgets: find_relations counts one per word extension and one per trivial
+word formed, one count shared by the fast path and the exact path; without
+the second, pairing would be quadratic in the class sizes and unbounded.
+When the count runs out the partial report lists every relator up to
+length 2j, j the last half-length finished.  free_subgroup_certificate
+counts words reached, which equalled its compositions when it composed
+once per word.
 stabilizer_search and germ_faithfulness_probe hand their budget to ball,
 which counts distinct elements.
 """
@@ -90,7 +87,9 @@ class RelationReport:
     A listed relator is cyclically reduced and contains no shorter relator
     as a cyclic factor (words like c b b c, trivial only by way of the
     inner b b, are left out).  complete means the search space was fully
-    covered, so the list is exhaustive under those conventions.
+    covered, so the list is exhaustive under those conventions.  The
+    partial report of a budget that ran out lists every relator up to an
+    even length, the last one the budget covered, and none longer.
     """
 
     max_len: int
@@ -117,7 +116,7 @@ class _RelatorSet:
         )
 
 
-# the exact paths' product table holds at most this many machine states,
+# the exact path's product table holds at most this many machine states,
 # keys included (about 40 MB); products that do not fit are recomputed
 _PRODUCT_TABLE_STATES = 1 << 18
 
@@ -150,24 +149,7 @@ def find_relations(
         else:
             return RelationReport(max_len, (), True)
 
-    # the search spends one per reduced word at most, so when all of them
-    # fit the budget it cannot run out, and the half-length classes answer
-    if spent + _reduced_word_count(steps, max_len) <= budget:
-        return _relators_from_classes(steps, max_len)
-    return _relators_from_search(steps, max_len, spent, budget)
-
-
-def _reduced_word_count(steps, max_len: int) -> int:
-    """The number of reduced words of length 1..max_len over the letters."""
-    letters = [letter for letter, _ in steps]
-    ending = dict.fromkeys(letters, 1)  # words of the current length by last letter
-    count = 0
-    for _ in range(max_len):
-        words = sum(ending.values())
-        count += words
-        # an involution's letter has no inverse letter, so nothing cancels it
-        ending = {x: words - ending.get((x[0], -x[1]), 0) for x in letters}
-    return count
+    return _relators_from_classes(steps, max_len, spent, budget)
 
 
 def _product_table(steps):
@@ -190,103 +172,69 @@ def _product_table(steps):
     return times
 
 
-def _relators_from_search(steps, max_len: int, spent: int, budget: int) -> RelationReport:
-    """The exact search, depth-first over the word universe: it records
-    trivial words and prunes their extensions (those factor through the
-    prefix), and raises BudgetExceeded past budget words reached."""
-    found = _RelatorSet()
-    times = _product_table(steps)
-    step_by_letter = dict(steps)
-    # an involution has no inverse letter; it is its own inverse
-    inverse_of = {
-        letter: step_by_letter.get((letter[0], -letter[1]), g) for letter, g in steps
-    }
-    e = identity(steps[0][1].k)
-
-    def record(letters: tuple):
-        if not Word(letters).is_cyclically_reduced():
-            return
-        # a rotation with a trivial proper prefix exhibits a shorter
-        # relator inside; skip those
-        for r in range(len(letters)):
-            rot = letters[r:] + letters[:r]
-            elem = e
-            for i in range(len(rot) - 1):
-                elem = times(elem, rot[i])
-                if elem.is_identity():
-                    return
-        found.add(letters)
-
-    def dfs(letters: tuple, elem: Automorphism, depth: int):
-        nonlocal spent
-        if elem.is_identity() and letters:
-            record(letters)
-            return
-        if depth == max_len:
-            return
-        last = depth == max_len - 1
-        for letter, _ in steps:
-            if letters and letters[-1] == (letter[0], -letter[1]):
-                continue
-            spent += 1
-            if spent > budget:
-                raise BudgetExceeded(
-                    "relation search budget exhausted",
-                    partial=RelationReport(max_len, found.sorted(), False),
-                    budget="relations", spent=spent, limit=budget,
-                )
-            if last:
-                if elem == inverse_of[letter]:
-                    record(letters + (letter,))
-            else:
-                dfs(letters + (letter,), times(elem, letter), depth + 1)
-
-    dfs((), e, 0)
-    return RelationReport(max_len, found.sorted(), True)
-
-
-def _relators_from_classes(steps, max_len: int) -> RelationReport:
-    """The exact search's relators, read off the values of words of half the
-    length: a reduced word u v^-1 is trivial exactly when u and v are equal."""
+def _relators_from_classes(steps, max_len: int, spent: int, budget: int) -> RelationReport:
+    """The relators, read off the values of words of half the length: a
+    reduced word u v^-1 is trivial exactly when u and v are equal.  Past
+    budget words reached and trivial words formed it raises BudgetExceeded
+    with the relators of the half-lengths finished."""
     letters = [letter for letter, _ in steps]
     inverse = {x: (x[0], -x[1]) if (x[0], -x[1]) in letters else x for x in letters}
     times = _product_table(steps)
-    # the reduced words up to half the length, by value and length
-    e = identity(steps[0][1].k)
-    layer = [((), e)]
-    words_of = {(e, 0): [()]}
-    for m in range(1, (max_len + 1) // 2 + 1):
-        layer = [
-            (word + (x,), times(value, x))
-            for word, value in layer
-            for x in letters
-            if not word or word[-1] != (x[0], -x[1])
-        ]
-        for word, value in layer:
-            words_of.setdefault((value, m), []).append(word)
-
-    # each trivial reduced word of length <= max_len splits once as u v^-1
-    # with |u| = m >= 1 and |v| = m or m - 1
-    trivial = set()
-    for (value, m), us in words_of.items():
-        if not m:
-            continue
-        for v in words_of.get((value, m - 1), []) + (us if 2 * m <= max_len else []):
-            tail = tuple(inverse[x] for x in reversed(v))
-            for u in us:
-                if not tail or u[-1] != (tail[0][0], -tail[0][1]):
-                    trivial.add(u + tail)
-
-    # the search's rule: cyclically reduced, and no rotation with a
-    # trivial proper prefix
     found = _RelatorSet()
-    for word in trivial:
-        n = len(word)
-        twice = word + word
-        if Word(word).is_cyclically_reduced() and not any(
-            twice[r:r + i] in trivial for r in range(n) for i in range(1, n)
-        ):
-            found.add(word)
+
+    def charge(n: int):
+        nonlocal spent
+        spent += n
+        if spent > budget:
+            raise BudgetExceeded(
+                "relation search budget exhausted",
+                partial=RelationReport(max_len, found.sorted(), False),
+                budget="relations", spent=budget + 1, limit=budget,
+            )
+
+    e = identity(steps[0][1].k)
+    previous = {e: [()]}  # the last length's words by value
+    trivial = set()
+    for m in range(1, (max_len + 1) // 2 + 1):
+        classes: dict[Automorphism, list] = {}
+        for value, words in previous.items():
+            if m > 1 and value.is_identity():
+                continue  # a trivial word is not extended (module docstring)
+            for x in letters:
+                grown = [w + (x,) for w in words if not w or w[-1] != (x[0], -x[1])]
+                charge(len(grown))
+                if grown:
+                    classes.setdefault(times(value, x), []).extend(grown)
+
+        # each trivial reduced word of length 2m - 1 or 2m splits once as
+        # u v^-1 with |u| = m and |v| = m - 1 or m; past m = 1, a trivial u
+        # is a trivial proper prefix
+        new = []
+        for value, us in classes.items():
+            if m > 1 and value.is_identity():
+                continue
+            # by last letter, so the work on u v^-1 that does not reduce is
+            # one lookup per v, not one per pair, and the budget bounds it
+            by_end: dict[tuple, list] = {}
+            for u in us:
+                by_end.setdefault(u[-1], []).append(u)
+            for v in previous.get(value, []) + (us if 2 * m <= max_len else []):
+                tail = tuple(inverse[x] for x in reversed(v))
+                cancels = tail and (tail[0][0], -tail[0][1])
+                charge(len(us) - len(by_end.get(cancels, ())))
+                new.extend(u + tail for end, group in by_end.items() if end != cancels for u in group)
+        previous = classes
+
+        # the listing rule: cyclically reduced, and no rotation with a
+        # trivial proper prefix
+        trivial.update(new)
+        for word in new:
+            n = len(word)
+            twice = word + word
+            if Word(word).is_cyclically_reduced() and not any(
+                twice[r:r + i] in trivial for r in range(n) for i in range(1, n)
+            ):
+                found.add(word)
     return RelationReport(max_len, found.sorted(), True)
 
 
@@ -350,12 +298,12 @@ def germ_faithfulness_probe(
     max_len: int = 4,
     budget: int = 100000,
 ) -> FaithfulnessProbe:
-    return _faithfulness_probe_in(ball(gens, max_len, budget)[0], point, max_len)
+    return _faithfulness_probe_in(_stabilizer(ball(gens, max_len, budget)[0], point), point, max_len)
 
 
-def _faithfulness_probe_in(elements, point: BoundaryPoint, max_len: int) -> FaithfulnessProbe:
-    """germ_faithfulness_probe over the elements of a ball that is already enumerated."""
-    hits = _stabilizer(elements, point)[1:]  # the ball's identity comes first
+def _faithfulness_probe_in(stab: list, point: BoundaryPoint, max_len: int) -> FaithfulnessProbe:
+    """germ_faithfulness_probe over the _stabilizer list of a ball that is already enumerated."""
+    hits = stab[1:]  # the ball's identity comes first
     elems = [elem for _, elem, _ in hits]
 
     def comm(x: Automorphism, y: Automorphism) -> Automorphism:

@@ -292,7 +292,7 @@ def germ_group(
 ) -> GermGroupReport:
     if max_order < 1:
         raise ValueError("max_order must be at least 1")
-    return _germ_group_in(ball(gens, max_len, budget)[0], point, max_order)
+    return _germ_group_in(_stabilizer(ball(gens, max_len, budget)[0], point), point, max_order)
 
 
 def _stabilizer(elements, point: BoundaryPoint) -> list:
@@ -301,9 +301,9 @@ def _stabilizer(elements, point: BoundaryPoint) -> list:
     return [(w, g, germ) for g, w in elements.items() if (germ := _germ(g, point)) is not None]
 
 
-def _germ_group_in(elements, point: BoundaryPoint, max_order: int = 64) -> GermGroupReport:
-    """germ_group over the elements of a ball that is already enumerated."""
-    stab = sorted(_stabilizer(elements, point), key=lambda p: (len(p[0].letters), p[0].letters))
+def _germ_group_in(stab: list, point: BoundaryPoint, max_order: int = 64) -> GermGroupReport:
+    """germ_group over the _stabilizer list of a ball that is already enumerated."""
+    stab = sorted(stab, key=lambda p: (len(p[0].letters), p[0].letters))
     classes: dict[tuple[Automorphism, ...], int] = {}  # germ key read as values -> class
     reps: list[tuple[Word, Automorphism]] = []  # a new class is represented by word()
 

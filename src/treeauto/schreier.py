@@ -33,7 +33,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Mapping
 
-from .core import Automorphism, BudgetExceeded, level_action, symmetric_letters
+from .core import Automorphism, BudgetExceeded, _alphabet, level_action, symmetric_letters
 
 
 def symmetrize(gens: Mapping[str, Automorphism]) -> dict[str, Automorphism]:
@@ -264,4 +264,5 @@ def isoperimetric_profile(
         raise ValueError("level must be nonnegative")
     if budget < 1:
         raise ValueError("budget must be at least 1")
+    _alphabet(gens)  # checked also when no level is asked for
     return tuple(folner_candidate(gens, n, budget) for n in range(1, max_level + 1))

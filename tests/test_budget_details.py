@@ -43,7 +43,7 @@ def gens(family):
     [
         # aleshin takes the fast path, grigorchuk the exact search
         (lambda: find_relations(gens("aleshin"), 10, budget=20), "relations", 21, 20),
-        (lambda: find_relations(gens("grigorchuk"), 5, budget=600), "relations", 601, 600),
+        (lambda: find_relations(gens("grigorchuk"), 5, budget=30), "relations", 31, 30),
         (lambda: free_subgroup_certificate(gens("aleshin"), "a", "b", 6, budget=20), "certificate", 21, 20),
         # a ball and an orbit stop at the first element or vertex that does not fit
         (lambda: ball(gens("aleshin"), 8, budget=50), "ball", 51, 50),
@@ -60,10 +60,10 @@ def test_budget_exceeded_names_budget_spent_and_limit(call, budget, spent, limit
 
 
 def test_cli_budget_payload_carries_the_details(capsys):
-    assert main(["relations", "-f", "grigorchuk", "--max-len", "5", "--budget", "600"]) == 2
+    assert main(["relations", "-f", "grigorchuk", "--max-len", "5", "--budget", "30"]) == 2
     payload = json.loads(capsys.readouterr().out)
     assert sorted(payload) == ["budget", "detail", "error", "limit", "partial", "spent"]
-    assert (payload["budget"], payload["spent"], payload["limit"]) == ("relations", 601, 600)
+    assert (payload["budget"], payload["spent"], payload["limit"]) == ("relations", 31, 30)
     assert payload["error"] == "budget exceeded"
     assert payload["detail"] == "relation search budget exhausted"
     assert payload["partial"]["complete"] is False

@@ -217,6 +217,26 @@ def test_trichotomy_builds_one_ball_per_run(monkeypatch, capsys):
     assert len(calls) == 1
 
 
+def test_trichotomy_walks_each_ray_once_per_point(monkeypatch, capsys):
+    """Each ball element's ray is walked once per point, for the germ group
+    and the faithfulness probe together; the germ closure walks one more ray
+    per product, order squared of them."""
+    core = import_module("treeauto.core")
+    ray = core.Automorphism._ray
+    calls = []
+
+    def counting_ray(self, w):
+        calls.append(w)
+        return ray(self, w)
+
+    monkeypatch.setattr(core.Automorphism, "_ray", counting_ray)
+    argv = ["trichotomy", "-f", "grigorchuk", "--point", ":1", "--point", ":0", "--max-len", "3"]
+    assert main(argv) == 0
+    orders = [p["germ_order"] for p in json.loads(capsys.readouterr().out)["points"]]
+    size = len(import_module("treeauto.nucleus").ball(entry("grigorchuk").generators, 3)[0])
+    assert len(calls) == sum(size + order * order for order in orders)
+
+
 def test_gens_restricts_the_generating_set():
     out = run_json("relations", "-f", "grigorchuk", "--gens", "a,b", "--max-len", "6")
     assert out["relators"] == ["a a", "b b"]

@@ -62,6 +62,8 @@ def test_relations_budget():
         find_relations(entry("grigorchuk").generators, 4, budget=30)
     partial = info.value.partial
     assert partial.complete is False
+    # 30 finishes half-length 1 but not 2, so the relators up to length 2
+    assert [str(w) for w in partial.relators] == ["a a", "b b", "c c", "d d"]
 
     # aleshin takes the fast path, which reports no relators when cut short
     with pytest.raises(BudgetExceeded) as info:

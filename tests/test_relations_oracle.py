@@ -7,13 +7,14 @@ cyclic factor; relators are listed once per class under rotation and formal
 inversion (reverse, flip every sign), shown by the variant that is least
 letter by letter with positive letters first, shortest first.
 
-The budget tests pin, at many budgets, the partial report that goes with
-BudgetExceeded.  Their values were read off the plain depth-first search
-that composed once per word; a search that shares work must still count
-one per word reached and so stop at the same word with the same relators.
+The budget tests check, at many budgets, the partial report that goes with
+BudgetExceeded against a rule: it lists every relator up to some even
+length, that length never falls as the budget grows, and spent is the limit
+plus one.  The least budget that completes is frozen.
 """
 
 import itertools
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +22,7 @@ from hypothesis import strategies as st
 
 from treeauto import core, freeness
 from treeauto.catalog import entry
-from treeauto.core import Automorphism, BudgetExceeded, evaluate_word, symmetric_letters
+from treeauto.core import Automorphism, BudgetExceeded, evaluate_word
 from treeauto.freeness import RelationReport, find_relations
 from treeauto.words import Word
 
@@ -132,61 +133,57 @@ def test_drawn_involutions_are_involutions(g):
     assert (g * g).is_identity()
 
 
-# Relators in the partial report at a budget that runs out, read off the
-# search that composed once per word.  At each budget b listed the search
-# raises; b + 1 either adds a relator or, at the last entry, completes.
-GRIGORCHUK_5_PARTIALS = {
-    1: (),
-    2: ("a a",),
-    327: ("a a",),
-    328: ("a a", "b b"),
-    361: ("a a", "b b"),
-    362: ("a a", "b b", "b c b c"),
-    384: ("a a", "b b", "b c b c"),
-    385: ("a a", "b b", "b c d", "b c b c"),
-    423: ("a a", "b b", "b c d", "b c b c"),
-    424: ("a a", "b b", "b c d", "b c b c", "b d b d"),
-    425: ("a a", "b b", "b c d", "b d c", "b c b c", "b d b d"),
-    581: ("a a", "b b", "b c d", "b d c", "b c b c", "b d b d"),
-    582: ("a a", "b b", "c c", "b c d", "b d c", "b c b c", "b d b d"),
-    621: ("a a", "b b", "c c", "b c d", "b d c", "b c b c", "b d b d"),
-    622: ("a a", "b b", "c c", "b c d", "b d c", "b c b c", "b d b d", "c d c d"),
-    835: ("a a", "b b", "c c", "b c d", "b d c", "b c b c", "b d b d", "c d c d"),
-}
-
-# basilica 6 stops in the fast path; basilica 7 and gupta_sidki_3 6 reach
-# the exact search past their first few budgets
-OTHER_PARTIALS = {
-    ("basilica", 6): {1: (), 10: (), 51: ()},
-    ("basilica", 7): {100: (), 2000: (), 4484: ()},
-    ("gupta_sidki_3", 6): {3: (), 50: ("a a a",), 500: ("a a a",), 1280: ("a a a", "t t t")},
+# the least budget at which find_relations completes; every smaller budget
+# runs out
+LEAST_BUDGETS = {
+    ("grigorchuk", 4): 48,
+    ("grigorchuk", 5): 138,
+    ("grigorchuk", 9): 5606,
+    ("gupta_sidki_3", 6): 85,
+    ("basilica", 6): 52,
+    ("basilica", 7): 273,
+    ("tullio", 7): 160,
 }
 
 
 def _partial(gens, max_len, budget):
     with pytest.raises(BudgetExceeded) as info:
         find_relations(gens, max_len, budget=budget)
+    assert (info.value.budget, info.value.spent, info.value.limit) == ("relations", budget + 1, budget)
     return info.value.partial
 
 
+def assert_partials_are_even_length_cuts(family, max_len, budgets):
+    """Below the frozen least budget, each partial lists every relator up to
+    an even length of the complete list, and that length never falls."""
+    gens = entry(family).generators
+    least = LEAST_BUDGETS[family, max_len]
+    full = find_relations(gens, max_len, budget=least).relators
+    with pytest.raises(BudgetExceeded):
+        find_relations(gens, max_len, budget=least - 1)
+    cuts = {len([w for w in full if len(w) <= 2 * j]) for j in range(max_len // 2 + 1)}
+    reached = 0
+    for budget in sorted(budgets):
+        partial = _partial(gens, max_len, budget)
+        assert (partial.max_len, partial.complete) == (max_len, False)
+        size = len(partial.relators)
+        assert size in cuts and partial.relators == full[:size], (family, max_len, budget)
+        assert size >= reached, (family, max_len, budget)
+        reached = size
+
+
 def test_grigorchuk_partials_are_frozen():
-    gens = entry("grigorchuk").generators
-    for budget, relators in GRIGORCHUK_5_PARTIALS.items():
-        partial = _partial(gens, 5, budget)
-        assert (budget, partial.max_len, partial.complete) == (budget, 5, False)
-        assert (budget, tuple(str(w) for w in partial.relators)) == (budget, relators)
-    assert find_relations(gens, 5, budget=836).complete
+    assert_partials_are_even_length_cuts("grigorchuk", 5, range(138))
+    assert tuple(map(str, _partial(entry("grigorchuk").generators, 5, 100).relators)) == (
+        "a a", "b b", "c c", "d d", "b c d", "b d c", "b c b c", "b d b d", "c d c d",
+    )
 
 
 def test_other_partials_are_frozen():
-    for (family, max_len), table in OTHER_PARTIALS.items():
-        gens = entry(family).generators
-        for budget, relators in table.items():
-            partial = _partial(gens, max_len, budget)
-            assert partial == RelationReport(max_len, tuple(map(Word.parse, relators)), False)
-    assert find_relations(entry("basilica").generators, 6, budget=52).complete
-    assert find_relations(entry("basilica").generators, 7, budget=4485).complete
-    assert find_relations(entry("gupta_sidki_3").generators, 6, budget=1281).complete
+    for (family, max_len), least in LEAST_BUDGETS.items():
+        assert_partials_are_even_length_cuts(
+            family, max_len, {0, 1, least // 3, least // 2, least - 1} | set(range(0, least, 97))
+        )
 
 
 def test_relator_search_shares_products(monkeypatch):
@@ -198,20 +195,15 @@ def test_relator_search_shares_products(monkeypatch):
         return compose(g, h)
 
     monkeypatch.setattr(freeness, "compose", counting_compose)
-    gens = entry("grigorchuk").generators
-    rep = find_relations(gens, 6)
+    rep = find_relations(entry("grigorchuk").generators, 6)
     assert len(rep.relators) == 9
     assert len(calls) <= 50
-    # the depth-first search, which a budget that could run out keeps:
-    # composing once per word reached took 4,601 products here
-    calls.clear()
-    assert freeness._relators_from_search(symmetric_letters(gens), 6, 0, 10 ** 6) == rep
-    assert len(calls) <= 300
 
 
 def test_a_full_product_table_only_costs_products(monkeypatch):
     gens = entry("grigorchuk").generators
     expected = find_relations(gens, 5)
+    partials = {budget: _partial(gens, 5, budget) for budget in (9, 50, 137)}
     compose = freeness.compose
     calls = []
 
@@ -221,45 +213,36 @@ def test_a_full_product_table_only_costs_products(monkeypatch):
 
     monkeypatch.setattr(freeness, "compose", counting_compose)
     monkeypatch.setattr(freeness, "_PRODUCT_TABLE_STATES", 0)
-    # 836 words reached complete the search, and under the 1,364 reduced
-    # words the budget keeps it depth-first
-    assert find_relations(gens, 5, budget=1000) == expected
-    assert len(calls) > 300
-    for budget, relators in GRIGORCHUK_5_PARTIALS.items():
-        assert tuple(map(str, _partial(gens, 5, budget).relators)) == relators
+    assert find_relations(gens, 5, budget=138) == expected
+    # one product per value and letter at each length, where the table
+    # shares them across lengths and takes 44
+    assert len(calls) == 56
+    for budget, partial in partials.items():
+        assert _partial(gens, 5, budget) == partial
 
 
-def _reduced_word_total(steps, max_len):
-    letters = [letter for letter, _ in steps]
-    return sum(
-        all(w[i] != (w[i - 1][0], -w[i - 1][1]) for i in range(1, n))
-        for n in range(1, max_len + 1)
-        for w in itertools.product(letters, repeat=n)
-    )
-
-
-@pytest.mark.parametrize("family", ["adding_machine", "tullio", "grigorchuk", "basilica", "gupta_sidki_3"])
-def test_reduced_word_count_bounds_the_search(family):
-    steps = symmetric_letters(entry(family).generators)
-    for n in range(1, 6):
-        assert freeness._reduced_word_count(steps, n) == _reduced_word_total(steps, n)
-    assert freeness._reduced_word_count(symmetric_letters(entry("basilica").generators), 7) == 4372
-
-
-# aleshin stops at 6: its depth-first search to 7 takes about 30 s
+# aleshin stops at 5: the oracle at 6 takes over 20 s
 @pytest.mark.parametrize(
     "family, max_len",
     [(family, 7) for family in ("adding_machine", "tullio", "grigorchuk", "basilica", "gupta_sidki_3")]
-    + [("aleshin", 6)],
+    + [("aleshin", 5)],
 )
-def test_both_exact_paths_agree_on_the_catalog(family, max_len):
-    steps = symmetric_letters(entry(family).generators)
-    for n in range(1, max_len + 1):
-        # a budget of one per reduced word never runs out
-        by_search = freeness._relators_from_search(
-            steps, n, 0, freeness._reduced_word_count(steps, n)
-        )
-        assert by_search == freeness._relators_from_classes(steps, n)
+def test_relations_match_the_oracle_on_the_catalog(family, max_len):
+    gens = entry(family).generators
+    assert find_relations(gens, max_len) == oracle_relations(gens, max_len)
+
+
+def test_the_budget_bounds_the_pairing():
+    """In the Klein four-group the words of each half-length fall into three
+    classes, so pairing them is quadratic; the pairs formed are charged."""
+    a = Automorphism.from_states(2, {"a": ((1, 0), ["e", "e"])}, "a")
+    b = Automorphism.from_states(2, {"b": ((0, 1), ["s", "s"]), "s": ((1, 0), ["e", "e"])}, "b")
+    gens = {"a": a, "b": b, "c": a * b}
+    full = find_relations(gens, 8).relators
+    assert len(full) == 8
+    start = time.perf_counter()
+    assert _partial(gens, 20, 10_000).relators == full
+    assert time.perf_counter() - start < 1
 
 
 def test_half_length_classes_take_one_product_per_short_word(monkeypatch):
@@ -273,6 +256,6 @@ def test_half_length_classes_take_one_product_per_short_word(monkeypatch):
     monkeypatch.setattr(core, "compose", counting_compose)
     monkeypatch.setattr(freeness, "compose", counting_compose)
     assert find_relations(entry("basilica").generators, 7) == RelationReport(7, (), True)
-    # the depth-first search took 1,318 products here, and the 160 reduced
-    # words of length 1..4 take one each
+    # a depth-first search over the words took 1,318 products here; the 160
+    # reduced words of length 1..4 take one each at most
     assert len(calls) <= 200

@@ -228,13 +228,14 @@ LEVEL_ENTRY_POINTS = (
     lambda gens: gamma_prime_components(gens, 2),
     lambda gens: folner_candidate(gens, 2),
     lambda gens: isoperimetric_profile(gens, 2),
+    lambda gens: isoperimetric_profile(gens, 0),
 )
 
 
 @pytest.mark.parametrize(
     "call",
     LEVEL_ENTRY_POINTS,
-    ids=("orbit", "schreier_graph", "gamma_prime_components", "folner", "profile"),
+    ids=("orbit", "schreier_graph", "gamma_prime_components", "folner", "profile", "profile_0"),
 )
 def test_level_entry_points_reject_bad_generator_sets(call):
     binary = entry("adding_machine").generators["a"]
