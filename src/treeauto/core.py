@@ -30,16 +30,19 @@ same holds for the inverse: inverting every state of a minimal machine
 keeps its states pairwise different and reaching the same states, so only
 the numbering has to be redone.
 
-Products of one element with several right factors share one pair walk
-and one refinement (_products): the state pairs reachable from all the
-start pairs form one machine, and Moore refinement of that machine gives
-its minimal quotient.  The blocks one start reaches, with the identity
+Minimizing is one pair walk and one refinement (_pair_quotient): the
+state pairs of a left and a right machine reachable from a list of start
+pairs form one machine, and Moore refinement of that machine gives its
+minimal quotient.  The blocks one start reaches, with the identity
 block, are a sub-machine of that quotient, so they are minimal by the
 same argument; renumbered breadth-first from the start's block they are
 the canonical form of that one product, whatever the other starts
-added to the walk.  compose is the case of a single start.
+added to the walk.  _products reads off the products of one element
+with several states of a right machine, and compose is the case of a
+single start.  The nucleus closure walks the pairs of one machine of
+all its members with itself, one batch of rows at a time.
 
-Every value that needs minimizing comes from _products; sections and
+Every value that needs minimizing comes from that walk; sections and
 inverses need only the renumbering above.  A declared machine
 (from_states) is the product of the identity with its tables: the pairs
 (0, s) reachable from (0, initial) are exactly the declared states that
@@ -364,8 +367,9 @@ class Automorphism:
         while n:
             if n & 1:
                 result = compose(result, base)
-            base = compose(base, base)
             n >>= 1
+            if n:  # square only while bits remain
+                base = compose(base, base)
         return result
 
 
@@ -393,26 +397,54 @@ def _products(g: Automorphism, hperms, htrans, starts) -> list[Automorphism]:
     """The products of g with the states `starts` of one right machine.
 
     hperms and htrans are the tables of a machine on g's alphabet whose
-    state 0 is the identity row.  Built on reachable state pairs: the pair
-    (p, q) behaves as the product of g's state p with the state q, stepping
-    by
+    state 0 is the identity row.  One pair walk from the start pairs
+    (initial, s) and one refinement serve every product (_pair_quotient);
+    each is read off the quotient by breadth-first renumbering from its
+    block (module docstring).  A lone start 1 of a walk that is already
+    minimal is numbered canonically as it stands and is returned as it is.
+    """
+    k = g.k
+    perms, cols, ids, firsts = _pair_quotient(
+        g.perms, g.trans, hperms, htrans, [(g.initial, s) for s in starts]
+    )
+    # first-met block numbers give ids[i] <= i, with equality at the last
+    # pair exactly when every block is a single pair
+    if firsts == [1] and ids[-1] == len(ids) - 1:
+        return [Automorphism(k, tuple(perms), tuple(zip(*cols)), 1, _raw=True)]
+    products = {}
+    for start in firsts:
+        if ids[start] not in products:
+            products[ids[start]] = _quotient_at(k, perms, cols, ids, start)
+    return [products[ids[start]] for start in firsts]
+
+
+def _pair_quotient(gperms, gtrans, hperms, htrans, pairs) -> tuple[list, list, list, list]:
+    """(perms, cols, ids, firsts): the pair machine of two machines' tables
+    reachable from the start pairs, and its Moore refinement.
+
+    Both machines share one alphabet and have the identity row as state 0.
+    The pair (p, q) behaves as the product of the left state p with the
+    right state q, stepping by
 
         (p, q) --x--> (p after q's image of x, q after x)
 
-    and only pairs reachable from the start pairs (initial, s) are
-    materialized, in one walk for all of them.  One refinement then serves
-    every product (module docstring).
+    and only pairs reachable from `pairs` are materialized, in one walk for
+    all of them.  Pair states are numbered in the order they are met, the
+    identity pair (0, 0) as 0 and the start pairs first, which is
+    breadth-first from the first start when it is the only one; perms[i]
+    is pair i's root permutation, cols[x][i] its successor below letter x
+    and firsts[j] the number of pairs[j].  Refinement, seeded with the
+    root permutations, runs once over the whole machine: ids[i] is pair
+    i's block, numbered in the order blocks are first met, so block 0 is
+    the identity.
     """
-    k, m = g.k, len(hperms)
-    gperms, gtrans = g.perms, g.trans
-    # the pair (p, q) is keyed p * m + q, so (0, 0) is 0; pairs are numbered
-    # in the order they are met, the start pairs first, which is breadth-first
-    # from the first start when it is the only one
+    k, m = len(hperms[0]), len(hperms)
+    # the pair (p, q) is keyed p * m + q, so (0, 0) is 0
     index = {0: 0}
     order = []
     firsts = []
-    for s in starts:
-        pair = g.initial * m + s
+    for p, q in pairs:
+        pair = p * m + q
         if pair not in index:
             index[pair] = len(index)
             order.append(pair)
@@ -430,7 +462,17 @@ def _products(g: Automorphism, hperms, htrans, starts) -> list[Automorphism]:
                 t = index[nxt] = len(index)
                 order.append(nxt)
             col.append(t)
-    return _canonical(k, perms, cols, firsts)
+    n = len(perms)
+    table: dict = {}
+    ids = [table.setdefault(p, len(table)) for p in perms]
+    while len(table) < n:
+        table2: dict = {}
+        sigs = zip(ids, *[[ids[t] for t in col] for col in cols])
+        new = [table2.setdefault(sig, len(table2)) for sig in sigs]
+        if len(table2) == len(table):
+            break
+        ids, table = new, table2
+    return perms, cols, ids, firsts
 
 
 def _right_machine(values) -> tuple[list, list, list]:
@@ -467,35 +509,6 @@ def _renumbered(k: int, perms, trans, s: int) -> Automorphism:
         1,
         _raw=True,
     )
-
-
-def _canonical(k: int, perms: list, cols: list, starts) -> list[Automorphism]:
-    """The canonical forms of a machine's states `starts`.
-
-    State 0 is the identity row, cols[x][s] the successor of s below
-    letter x, and every state is reachable from some start.  Moore
-    refinement, seeded with the root permutations, runs once over the whole
-    machine; each start is then read off the quotient by breadth-first
-    renumbering from its block (module docstring).  A lone start 1 of a
-    minimal machine numbered as in the module docstring is returned as it is.
-    """
-    n = len(perms)
-    table: dict = {}
-    ids = [table.setdefault(p, len(table)) for p in perms]
-    while len(table) < n:
-        table2: dict = {}
-        sigs = zip(ids, *[[ids[t] for t in col] for col in cols])
-        new = [table2.setdefault(sig, len(table2)) for sig in sigs]
-        if len(table2) == len(table):
-            break
-        ids, table = new, table2
-    if len(table) == n and starts == [1]:
-        return [Automorphism(k, tuple(perms), tuple(zip(*cols)), 1, _raw=True)]
-    products = {}
-    for start in starts:
-        if start not in products:
-            products[start] = _quotient_at(k, perms, cols, ids, start)
-    return [products[start] for start in starts]
 
 
 def _quotient_at(k: int, perms, cols, ids, start: int) -> Automorphism:

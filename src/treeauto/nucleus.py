@@ -14,7 +14,20 @@ The nucleus closure starts from the identity and the deep sections of the
 generators and their inverses, then repeatedly folds in the deep sections
 of pairwise products.  When the family is contracting this stabilizes on
 the minimal closed set; when it is not, the set keeps growing and the
-search reports it exceeded its bounds instead of looping forever.
+search reports it exceeded its bounds instead of looping forever.  The
+set is closed under sections, so its members are the states of one
+machine, and a sweep runs over pairs of that machine with itself: rows
+of left members in batches of 1, 2, 4, ..., each batch one pair walk
+from its products (pairs of two members known before the last sweep
+skipped) and from the seeds (s, 0), one per member s.  After one
+refinement the seed's block is member s; the products' limit states are
+peeled on the blocks, and a value is built only for a block that is no
+member.  A product whose limit blocks are all known adds nothing and is
+skipped; any other has its limit-state set built exactly as
+limit_states(compose(g, h)) would build it, the same values inserted in
+the same order, and iterated.  Which new members come first in those
+iterations, which follow the values' hashes and not their state
+numbers, decides which of them make up an exceeded partial set.
 
 ball and the self-similarity check read one budgeted walk of reduced
 words (_ball_walk).  ball drains it; is_self_similar stops as soon as
@@ -42,7 +55,10 @@ from .core import (
     BoundaryPoint,
     BudgetExceeded,
     _alphabet,
+    _pair_quotient,
     _reduced_words,
+    _renumbered,
+    _right_machine,
     compose,
     identity,
     invert,
@@ -53,10 +69,21 @@ from .words import Word
 
 def limit_states(g: Automorphism) -> set[Automorphism]:
     """Sections of g that occur at arbitrarily large depths (module docstring)."""
-    indegree = {g.initial: 0}
-    order = [g.initial]
+    return {g._with_initial(s) for s in _deep_states(g.trans, g.initial)}
+
+
+def _deep_states(trans, start: int) -> list[int]:
+    """The states of a minimal machine's rows `trans` that are deep below
+    `start`, peeled as in the module docstring: the identity state 0 first
+    when it is reached, then the others breadth-first from start, letters
+    in order, the order of their canonical numbers in the machine of
+    start.  limit_states inserts its values in that order, but a set is
+    iterated in the order of their hashes: the first members met there
+    are what make up an exceeded nucleus partial (NucleusResult)."""
+    indegree = {start: 0}
+    order = [start]
     for s in order:  # the list grows while it is walked
-        for t in g.trans[s]:
+        for t in trans[s]:
             if t in indegree:
                 indegree[t] += 1
             else:
@@ -64,13 +91,11 @@ def limit_states(g: Automorphism) -> set[Automorphism]:
                 order.append(t)
     peel = [s for s in order if indegree[s] == 0]
     while peel:
-        for t in g.trans[peel.pop()]:
+        for t in trans[peel.pop()]:
             indegree[t] -= 1
             if indegree[t] == 0:
                 peel.append(t)
-    # built in state order, which fixes the order in which nucleus meets new
-    # elements and so which of them make up an exceeded partial set
-    return {g._with_initial(s) for s in sorted(order) if indegree[s]}
+    return [0] * (0 in indegree) + [s for s in order if s and indegree[s]]
 
 
 @dataclass(frozen=True)
@@ -79,8 +104,11 @@ class NucleusResult:
 
     status is "found" when the closure stabilized, "exceeded" when it blew
     past max_size or max_depth (reason says which); elements then hold the
-    partial set accumulated so far.  generations counts closure sweeps,
-    the stabilizing sweep included.
+    partial set accumulated so far.  Past max_size that set is the members
+    met first while iterating each product's limit-state set in sweep
+    order, and that iteration follows the values' hashes (module
+    docstring).  generations counts closure sweeps, the stabilizing sweep
+    included.
     """
 
     status: str
@@ -112,25 +140,65 @@ def nucleus(
     if len(N) > max_size:
         return done("exceeded", 0, "size limit")
 
+    # N is closed under sections, so its members are exactly the states of
+    # one machine, the identity as state 0; each sweep appends its new members
+    members = sorted(N, key=Automorphism.sort_key)
+    mperms, mtrans, states = _right_machine(members)
+    state = dict(zip(members, states))
+    value = sorted(state, key=state.get)  # state -> member
     generations = 0
-    old: set[Automorphism] = set()  # the last sweep's members, all pairs composed
+    swept = 0  # states below this were members of the last sweep, all pairs composed
     while True:
         generations += 1
-        fresh: set[Automorphism] = set()
-        members = sorted(N, key=Automorphism.sort_key)
-        for g in members:
-            for h in members:
-                if g in old and h in old:
+        fresh: dict[Automorphism, tuple] = {}  # new member -> its root perm and sections
+        rows = [state[g] for g in sorted(N, key=Automorphism.sort_key)]
+        seeds = [(s, 0) for s in range(1, len(mperms))]
+        lo, size = 0, 1
+        while lo < len(rows):
+            # rows in batches of 1, 2, 4, ...: a sweep that stops early pays
+            # only for the rows it reached
+            batch = rows[lo : lo + size]
+            lo, size = lo + size, 2 * size
+            starts = [(p, q) for p in batch for q in rows if p >= swept or q >= swept]
+            perms, cols, ids, firsts = _pair_quotient(mperms, mtrans, mperms, mtrans, starts + seeds)
+            # the quotient's rows, one per block, from a pair in each
+            reps = dict(zip(ids, range(len(ids)))).values()
+            bperms = [perms[r] for r in reps]
+            btrans = [tuple([ids[col[r]] for col in cols]) for r in reps]
+            # the seed (s, 0) is member s; any other block's value is built once
+            built = {0: value[0]}
+            built.update((ids[f], value[s]) for s, f in enumerate(firsts[len(starts) :], 1))
+            settled = set(built)  # blocks whose sections all lie in N or fresh
+            block = {}  # built value -> its block
+            for f in firsts[: len(starts)]:
+                if ids[f] in settled:
                     continue
-                for s in limit_states(compose(g, h)):
-                    if s not in N and s not in fresh:
-                        fresh.add(s)
+                deep = _deep_states(btrans, ids[f])
+                if settled.issuperset(deep):
+                    continue
+                limits = set()  # limit_states(compose(g, h)), inserted in its order
+                for b in deep:
+                    if b not in built:
+                        built[b] = _renumbered(k, bperms, btrans, b)
+                        block[built[b]] = b
+                    limits.add(built[b])
+                settled.update(deep)
+                for g in limits:
+                    if g not in N and g not in fresh:
+                        b = block[g]
+                        fresh[g] = bperms[b], [built[t] for t in btrans[b]]
                         if len(N) + len(fresh) > max_size:
-                            N |= fresh
+                            N.update(fresh)
                             return done("exceeded", generations, "size limit")
         if not fresh:
             return done("found", generations)
-        old, N = N, N | fresh
+        swept = len(mperms)
+        for g, (perm, _) in fresh.items():
+            state[g] = len(value)
+            value.append(g)
+            mperms.append(perm)
+        mtrans += [tuple([state[t] for t in sections]) for _, sections in fresh.values()]
+        N.update(fresh)
         if generations >= max_depth:
             return done("exceeded", generations, "generation limit")
 

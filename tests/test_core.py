@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from treeauto import core
 from treeauto.catalog import builtin
 from treeauto.core import (
     Automorphism,
@@ -141,6 +142,23 @@ def test_power_operator():
     assert A ** 0 == identity(2)
     assert A ** -1 == invert(A)
     assert (A ** 8)(vertex("0000")) == (0, 0, 0, 1)
+
+
+def test_power_squares_only_while_bits_remain(monkeypatch):
+    a = ADDING["a"]
+    a8 = evaluate_word(ADDING, "a a a a a a a a")
+    products = core._products
+    calls = []
+
+    def counting_products(*args):
+        calls.append(None)
+        return products(*args)
+
+    monkeypatch.setattr(core, "_products", counting_products)
+    assert a ** 1 == a
+    assert calls == []  # a ** 1 used to compose a a as well
+    assert a ** 8 == a8
+    assert len(calls) == 3  # a^2, a^4, a^8 and no a^16
 
 
 def test_evaluate_word():

@@ -2,18 +2,23 @@ import itertools
 from importlib import import_module
 
 import pytest
+from hypothesis import given
 
+from test_kernel_properties import PROPERTIES, triples
 from treeauto import core
 from treeauto.catalog import builtin, entry
 from treeauto.core import (
+    Automorphism,
     BoundaryPoint,
     BudgetExceeded,
+    compose,
     evaluate_word,
     identity,
     invert,
 )
 from treeauto.freeness import germ_faithfulness_probe, stabilizer_search
 from treeauto.nucleus import (
+    NucleusResult,
     SelfSimilarityReport,
     ball,
     germ_group,
@@ -91,6 +96,96 @@ def test_nucleus_generation_limit():
     res = nucleus(entry("tullio").generators, max_size=10 ** 6, max_depth=2)
     assert res.status == "exceeded"
     assert res.reason == "generation limit"
+
+
+# -- the closure against the loop it replaced -----------------------------------
+
+
+def reference_nucleus(gens, max_size=64, max_depth=16):
+    """The closure as it was first written: limit_states(compose(g, h)) for
+    every pair of members in sorted order, one product at a time."""
+    k = core._alphabet(gens)
+    N = {identity(k)}
+    for g in gens.values():
+        N |= limit_states(g)
+        N |= limit_states(invert(g))
+
+    def done(status, gen, reason=None):
+        return NucleusResult(status, tuple(sorted(N, key=Automorphism.sort_key)), gen, reason)
+
+    if len(N) > max_size:
+        return done("exceeded", 0, "size limit")
+
+    generations = 0
+    old = set()  # the last sweep's members, all pairs composed
+    while True:
+        generations += 1
+        fresh = set()
+        members = sorted(N, key=Automorphism.sort_key)
+        for g in members:
+            for h in members:
+                if g in old and h in old:
+                    continue
+                for s in limit_states(compose(g, h)):
+                    if s not in N and s not in fresh:
+                        fresh.add(s)
+                        if len(N) + len(fresh) > max_size:
+                            N |= fresh
+                            return done("exceeded", generations, "size limit")
+        if not fresh:
+            return done("found", generations)
+        old, N = N, N | fresh
+        if generations >= max_depth:
+            return done("exceeded", generations, "generation limit")
+
+
+# every family at the defaults and at small and large limits, and the
+# limits of the frozen tests above
+NUCLEUS_CASES = [
+    (family, limits)
+    for family in sorted(builtin())
+    for limits in (
+        {},
+        {"max_size": 2},
+        {"max_size": 5},
+        {"max_size": 40},
+        {"max_size": 150},
+        {"max_depth": 1},
+        {"max_depth": 2},
+    )
+] + [
+    ("aleshin", {"max_size": 200}),
+    ("tullio", {"max_size": 40, "max_depth": 12}),
+    ("tullio", {"max_size": 10 ** 6, "max_depth": 2}),
+]
+
+
+@pytest.mark.parametrize(
+    "family, limits",
+    NUCLEUS_CASES,
+    ids=["-".join([f] + ["%s=%s" % kv for kv in lim.items()]) for f, lim in NUCLEUS_CASES],
+)
+def test_nucleus_matches_the_reference(family, limits):
+    """Exceeded partials too: which members make one up depends on the order
+    of each product's limit-state set, so equal results mean equal order."""
+    gens = entry(family).generators
+    assert nucleus(gens, **limits) == reference_nucleus(gens, **limits)
+
+
+@PROPERTIES
+@given(triples())
+def test_nucleus_matches_the_reference_on_drawn_machines(drawn):
+    _, (a, b, _) = drawn
+    gens = {"a": a, "b": b}
+    for max_size in (3, 12):
+        assert nucleus(gens, max_size) == reference_nucleus(gens, max_size)
+
+
+def test_nucleus_closure_composes_no_pair(compose_calls):
+    res = nucleus(entry("tullio").generators)
+    assert (res.status, res.size, res.generations) == ("exceeded", 65, 3)
+    # one compose per pair of members took 826 products here
+    assert compose_calls == []
 
 
 @pytest.mark.parametrize("limits", [{"max_depth": 0}, {"max_depth": -1}, {"max_size": 0}])
