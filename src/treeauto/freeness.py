@@ -33,16 +33,18 @@ is not extended: a listed relator, and every trivial cyclic factor with
 no trivial proper factor, has no trivial proper prefix or suffix, so both
 of its halves are still reached.  A trivial word is listed when it is
 cyclically reduced and no rotation has a trivial proper prefix, read off
-the trivial words formed, with no products.  The products come from one
-table per call that maps (prefix value, letter) to the product, so in a
-contracting group, where the words take few distinct values, compose runs
-once per value and letter instead of once per word.
+the trivial words formed, with no products.  A class value's products
+with every letter come from one core._products call over a right machine
+of all the letters, as in the ball walk, and are kept for the rest of the
+call, so in a contracting group, where the words take few distinct
+values, each value is walked once instead of once per word and length.
 
 Budgets: find_relations counts one per word extension and one per trivial
-word formed, one count shared by the fast path and the exact path; without
-the second, pairing would be quadratic in the class sizes and unbounded.
-When the count runs out the partial report lists every relator up to
-length 2j, j the last half-length finished.  free_subgroup_certificate
+word formed, one count shared by the fast path and the exact path and
+charged in one place; without the second, pairing would be quadratic in
+the class sizes and unbounded.  When the count runs out the partial
+report lists every relator up to length 2j, j the last half-length
+finished.  free_subgroup_certificate
 counts words reached, which equalled its compositions when it composed
 once per word.
 stabilizer_search and germ_faithfulness_probe hand their budget to ball,
@@ -60,6 +62,8 @@ from .core import (
     BoundaryPoint,
     BudgetExceeded,
     _distinct_words,
+    _products,
+    _right_machine,
     compose,
     evaluate_word,
     identity,
@@ -116,11 +120,6 @@ class _RelatorSet:
         )
 
 
-# the exact path's product table holds at most this many machine states,
-# keys included (about 40 MB); products that do not fit are recomputed
-_PRODUCT_TABLE_STATES = 1 << 18
-
-
 def find_relations(
     gens: Mapping[str, Automorphism],
     max_len: int,
@@ -132,54 +131,6 @@ def find_relations(
     if budget < 0:
         raise ValueError("budget must be nonnegative")
     spent = 0
-
-    # the fast path needs every generator neither trivial nor an involution:
-    # exactly the generators that symmetric_letters gives two letters
-    if len(steps) == 2 * len(gens):
-        for _, known in _distinct_words(steps, (max_len + 1) // 2):
-            spent += 1
-            if spent > budget:
-                raise BudgetExceeded(
-                    "relation search budget exhausted during the fast path",
-                    partial=RelationReport(max_len, (), False),
-                    budget="relations", spent=spent, limit=budget,
-                )
-            if known is not None:
-                break
-        else:
-            return RelationReport(max_len, (), True)
-
-    return _relators_from_classes(steps, max_len, spent, budget)
-
-
-def _product_table(steps):
-    """times(elem, letter), the product elem * letter from one table per call."""
-    step_by_letter = dict(steps)
-    products: dict[tuple, Automorphism] = {}
-    room = _PRODUCT_TABLE_STATES
-
-    def times(elem: Automorphism, letter: tuple) -> Automorphism:
-        nonlocal room
-        value = products.get((elem, letter))
-        if value is None:
-            value = compose(elem, step_by_letter[letter])
-            size = len(elem.perms) + len(value.perms)
-            if size <= room:
-                room -= size
-                products[elem, letter] = value
-        return value
-
-    return times
-
-
-def _relators_from_classes(steps, max_len: int, spent: int, budget: int) -> RelationReport:
-    """The relators, read off the values of words of half the length: a
-    reduced word u v^-1 is trivial exactly when u and v are equal.  Past
-    budget words reached and trivial words formed it raises BudgetExceeded
-    with the relators of the half-lengths finished."""
-    letters = [letter for letter, _ in steps]
-    inverse = {x: (x[0], -x[1]) if (x[0], -x[1]) in letters else x for x in letters}
-    times = _product_table(steps)
     found = _RelatorSet()
 
     def charge(n: int):
@@ -192,6 +143,22 @@ def _relators_from_classes(steps, max_len: int, spent: int, budget: int) -> Rela
                 budget="relations", spent=budget + 1, limit=budget,
             )
 
+    # the fast path needs every generator neither trivial nor an involution:
+    # exactly the generators that symmetric_letters gives two letters
+    if len(steps) == 2 * len(gens):
+        for _, known in _distinct_words(steps, (max_len + 1) // 2):
+            charge(1)
+            if known is not None:
+                break
+        else:
+            return RelationReport(max_len, (), True)
+
+    # the exact path reads the relators off the values of words of half the
+    # length: a reduced word u v^-1 is trivial exactly when u and v are equal
+    letters = [letter for letter, _ in steps]
+    inverse = {x: (x[0], -x[1]) if (x[0], -x[1]) in letters else x for x in letters}
+    hperms, htrans, hstarts = _right_machine([g for _, g in steps])
+    children: dict[Automorphism, list] = {}  # a value's products with each letter
     e = identity(steps[0][1].k)
     previous = {e: [()]}  # the last length's words by value
     trivial = set()
@@ -200,11 +167,13 @@ def _relators_from_classes(steps, max_len: int, spent: int, budget: int) -> Rela
         for value, words in previous.items():
             if m > 1 and value.is_identity():
                 continue  # a trivial word is not extended (module docstring)
-            for x in letters:
+            if value not in children:
+                children[value] = _products(value, hperms, htrans, hstarts)
+            for x, product in zip(letters, children[value]):
                 grown = [w + (x,) for w in words if not w or w[-1] != (x[0], -x[1])]
                 charge(len(grown))
                 if grown:
-                    classes.setdefault(times(value, x), []).extend(grown)
+                    classes.setdefault(product, []).extend(grown)
 
         # each trivial reduced word of length 2m - 1 or 2m splits once as
         # u v^-1 with |u| = m and |v| = m - 1 or m; past m = 1, a trivial u

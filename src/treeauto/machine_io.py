@@ -55,9 +55,10 @@ def parse_machine(text: str) -> dict[str, Automorphism]:
         if kw == "alphabet":
             if alphabet is not None:
                 raise MachineParseError("duplicate alphabet line", lineno)
-            if len(fields) != 2 or not fields[1].isdigit():
-                raise MachineParseError("expected: alphabet <k>", lineno)
-            alphabet = int(fields[1])
+            try:
+                (alphabet,) = map(int, fields[1:])
+            except ValueError:
+                raise MachineParseError("expected: alphabet <k>", lineno) from None
             if alphabet < 2:
                 raise MachineParseError("alphabet needs at least two letters", lineno)
             continue

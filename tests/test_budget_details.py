@@ -69,6 +69,16 @@ def test_cli_budget_payload_carries_the_details(capsys):
     assert payload["partial"]["complete"] is False
 
 
+def test_cli_fast_path_payload_carries_the_details(capsys):
+    # aleshin takes the fast path
+    assert main(["relations", "-f", "aleshin", "--max-len", "10", "--budget", "20"]) == 2
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["detail"] == "relation search budget exhausted"
+    assert (payload["budget"], payload["spent"], payload["limit"]) == ("relations", 21, 20)
+    assert payload["partial"]["relators"] == []
+    assert payload["partial"]["complete"] is False
+
+
 def test_budget_details_default_to_none():
     exc = BudgetExceeded("stopped", partial=RelationReport(1, (), False))
     assert (exc.budget, exc.spent, exc.limit) == (None, None, None)

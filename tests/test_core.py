@@ -323,6 +323,8 @@ def test_dump_is_deterministic():
 def test_parse_errors_carry_line_numbers():
     cases = [
         ("state a\n", 1, "alphabet"),
+        # a digit that str.isdigit accepts and int refuses
+        ("alphabet \u00b2\n", 1, "alphabet"),
         ("alphabet 2\nstate e\n", 2, "reserved"),
         ("alphabet 2\nstate a\nperm 1 0\non 0 -> e\ninitial a\n", 2, "missing transitions"),
         ("alphabet 2\nstate a\nperm 1 1\n", 3, "permutation"),

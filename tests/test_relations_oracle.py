@@ -186,39 +186,41 @@ def test_other_partials_are_frozen():
         )
 
 
-def test_relator_search_shares_products(monkeypatch):
-    compose = freeness.compose
-    calls = []
+def _count_products(monkeypatch):
+    """The left operands of the relator search's pair walks and the
+    number of compose calls, anywhere, as find_relations runs."""
+    products, composed = [], []
+    pair_walk, compose = freeness._products, core.compose
+
+    def counting_products(g, *machine):
+        products.append(g)
+        return pair_walk(g, *machine)
 
     def counting_compose(g, h):
-        calls.append(None)
+        composed.append(None)
         return compose(g, h)
 
+    monkeypatch.setattr(freeness, "_products", counting_products)
+    monkeypatch.setattr(core, "compose", counting_compose)
     monkeypatch.setattr(freeness, "compose", counting_compose)
+    return products, composed
+
+
+def test_relator_search_shares_products(monkeypatch):
+    products, composed = _count_products(monkeypatch)
     rep = find_relations(entry("grigorchuk").generators, 6)
     assert len(rep.relators) == 9
-    assert len(calls) <= 50
+    assert composed == []
+    assert len(products) <= 11
 
 
-def test_a_full_product_table_only_costs_products(monkeypatch):
-    gens = entry("grigorchuk").generators
-    expected = find_relations(gens, 5)
-    partials = {budget: _partial(gens, 5, budget) for budget in (9, 50, 137)}
-    compose = freeness.compose
-    calls = []
-
-    def counting_compose(g, h):
-        calls.append(None)
-        return compose(g, h)
-
-    monkeypatch.setattr(freeness, "compose", counting_compose)
-    monkeypatch.setattr(freeness, "_PRODUCT_TABLE_STATES", 0)
-    assert find_relations(gens, 5, budget=138) == expected
-    # one product per value and letter at each length, where the table
-    # shares them across lengths and takes 44
-    assert len(calls) == 56
-    for budget, partial in partials.items():
-        assert _partial(gens, 5, budget) == partial
+def test_each_class_value_takes_one_pair_walk(monkeypatch):
+    products, composed = _count_products(monkeypatch)
+    find_relations(entry("grigorchuk").generators, 5)
+    # e, a, b, c, d and the six values a x, x a of length 2 (b c = d and
+    # the like repeat a value of length 1)
+    assert len(products) == len(set(products)) == 11
+    assert composed == []
 
 
 # aleshin stops at 5: the oracle at 6 takes over 20 s
@@ -246,16 +248,9 @@ def test_the_budget_bounds_the_pairing():
 
 
 def test_half_length_classes_take_one_product_per_short_word(monkeypatch):
-    compose = core.compose
-    calls = []
-
-    def counting_compose(g, h):
-        calls.append(None)
-        return compose(g, h)
-
-    monkeypatch.setattr(core, "compose", counting_compose)
-    monkeypatch.setattr(freeness, "compose", counting_compose)
+    products, composed = _count_products(monkeypatch)
     assert find_relations(entry("basilica").generators, 7) == RelationReport(7, (), True)
-    # a depth-first search over the words took 1,318 products here; the 160
-    # reduced words of length 1..4 take one each at most
-    assert len(calls) <= 200
+    # the fast path values its words on a repeated level action, and the
+    # exact path takes one pair walk per distinct value of length 0..3
+    assert len(composed) <= 8
+    assert len(products) == len(set(products)) <= 53
