@@ -39,8 +39,8 @@ same argument; renumbered breadth-first from the start's block they are
 the canonical form of that one product, whatever the other starts
 added to the walk.  _products reads off the products of one element
 with several states of a right machine, and compose is the case of a
-single start.  The nucleus closure walks the pairs of one machine of
-all its members with itself, one batch of rows at a time.
+single start.  The ball takes one walk per layer (_reduced_words), the
+nucleus closure one per batch of rows of its members' machine.
 
 Every value that needs minimizing comes from that walk; sections and
 inverses need only the renumbering above.  A declared machine
@@ -511,6 +511,13 @@ def _renumbered(k: int, perms, trans, s: int) -> Automorphism:
     )
 
 
+def _quotient_rows(perms, cols, ids) -> tuple[list, list]:
+    """The quotient's tables by the blocks `ids`, one row per block, from a
+    pair in each; blocks are numbered as first met, so row b is block b."""
+    reps = dict(zip(ids, range(len(ids)))).values()
+    return [perms[r] for r in reps], [tuple([ids[col[r]] for col in cols]) for r in reps]
+
+
 def _quotient_at(k: int, perms, cols, ids, start: int) -> Automorphism:
     """The state `start` of the quotient by the blocks `ids`, numbered
     breadth-first from it; block 0 is state 0's, the identity."""
@@ -635,32 +642,37 @@ def _reduced_words(letters, max_len: int, elements: dict):
     word already stored for value in `elements`, or None; the caller's map
     is seeded with the identity and then gains every new value with its
     word, so each stored word is the first, hence a shortest, word for its
-    value.  Stops early at a length that stores nothing.  The values of a
-    word's children come from one _products call over a right machine of
-    all the letters, so up to len(letters) - 1 of them may be computed
-    and never asked for.
+    value.  Stops early at a length that stores nothing.  A layer is one
+    _pair_quotient walk of the last layer's quotient with the letters, from
+    each child's (prefix block, letter): at most len(letters) starts per
+    stored element.  A block's value is read off when first reached.
     """
+    k = letters[0][1].k
     hperms, htrans, hstarts = _right_machine([g for _, g in letters])
-    # by a word's last letter (none for the empty word): its children's letter
-    # indices and their states in the right machine
-    after = {(): (range(len(letters)), hstarts)}
+    # by a word's last letter (none for the empty word): its children's letter indices
+    after = {(): range(len(letters))}
     for (name, sign), _ in letters:
-        fits = [i for i, (letter, _) in enumerate(letters) if letter != (name, -sign)]
-        after[((name, sign),)] = (fits, [hstarts[i] for i in fits])
-    e = Automorphism.identity(letters[0][1].k)
-    elements[e] = Word(())
-    layer = [(Word(()), e)]
+        after[((name, sign),)] = [i for i, (letter, _) in enumerate(letters) if letter != (name, -sign)]
+    elements[Automorphism.identity(k)] = Word(())
+    perms, cols, ids = [tuple(range(k))], [[0]] * k, [0]  # layer 0's quotient: the identity row
+    layer = [(Word(()), 0)]  # (word, block) of each new element of the last layer
     for _ in range(max_len):
+        gperms, gtrans = _quotient_rows(perms, cols, ids)
+        children = [(word, b, i) for word, b in layer for i in after[word.letters[-1:]]]
+        starts = [(b, hstarts[i]) for _, b, i in children]
+        perms, cols, ids, firsts = _pair_quotient(gperms, gtrans, hperms, htrans, starts)
+        values: dict = {}  # block -> its value
         nxt = []
-        for word, elem in layer:
-            fits, starts = after[word.letters[-1:]]
-            for i, value in zip(fits, _products(elem, hperms, htrans, starts)):
-                child = Word(word.letters + (letters[i][0],))
-                known = elements.get(value)
-                yield child, value, known
-                if known is None:
-                    elements[value] = child
-                    nxt.append((child, value))
+        for (word, _, i), f in zip(children, firsts):
+            b = ids[f]
+            if b not in values:
+                values[b] = _quotient_at(k, perms, cols, ids, f)
+            child = Word(word.letters + (letters[i][0],))
+            known = elements.get(values[b])
+            yield child, values[b], known
+            if known is None:
+                elements[values[b]] = child
+                nxt.append((child, b))
         if not nxt:
             return
         layer = nxt

@@ -30,11 +30,11 @@ iterations, which follow the values' hashes and not their state
 numbers, decides which of them make up an exceeded partial set.
 
 ball and the self-similarity check read one budgeted walk of reduced
-words (_ball_walk).  ball drains it; is_self_similar stops as soon as
-every first-level section of every generator has its first word, so a
-"yes" costs the elements up to its last witness, while "no" and
-"inconclusive" still need the whole ball.  The budget counts the distinct
-elements the walk has reached, in both.
+words (_ball_walk), one pair walk per layer.  ball drains it;
+is_self_similar stops as soon as every first-level section of every
+generator has its first word, so a "yes" costs the layers and values up
+to its last witness, while "no" and "inconclusive" still need the whole
+ball.  The budget counts the distinct elements the walk has reached.
 
 Germs at a ray w are keyed (_germ): one walk of w gives g's states at the
 starts of the period sweeps, and for g fixing w their cycle, rotated so the
@@ -56,6 +56,7 @@ from .core import (
     BudgetExceeded,
     _alphabet,
     _pair_quotient,
+    _quotient_rows,
     _reduced_words,
     _renumbered,
     _right_machine,
@@ -161,10 +162,7 @@ def nucleus(
             lo, size = lo + size, 2 * size
             starts = [(p, q) for p in batch for q in rows if p >= swept or q >= swept]
             perms, cols, ids, firsts = _pair_quotient(mperms, mtrans, mperms, mtrans, starts + seeds)
-            # the quotient's rows, one per block, from a pair in each
-            reps = dict(zip(ids, range(len(ids)))).values()
-            bperms = [perms[r] for r in reps]
-            btrans = [tuple([ids[col[r]] for col in cols]) for r in reps]
+            bperms, btrans = _quotient_rows(perms, cols, ids)
             # the seed (s, 0) is member s; any other block's value is built once
             built = {0: value[0]}
             built.update((ids[f], value[s]) for s, f in enumerate(firsts[len(starts) :], 1))

@@ -17,8 +17,9 @@ equal the canonicalizing build of the same state, on drawn machines and on
 catalog words; inverses, also renumbered alone, must be canonical there.
 
 Products of one element with several right factors from one pair walk
-(core._products) must equal compose factor by factor, and the ball walk
-built on them must give the sequence of a walk composing once per word.
+(core._products) must equal compose factor by factor.  The ball walk, one
+pair walk per layer (core._reduced_words), must give the sequence of a
+walk composing once per word, on the catalog and on drawn generators.
 
 The keyed word walk (core._distinct_words) must give the exact walk's
 sequence word for word, as built and forced to settle many repeated keys
@@ -298,6 +299,16 @@ def test_reduced_words_against_compose_per_word(family):
         (word, tables(value), known) for word, value, known in _reduced_words(letters, 4, {})
     ]
     assert walked == reference_reduced_words(letters, 4)
+
+
+@PROPERTIES
+@given(triples(), st.integers(1, 3))
+def test_reduced_words_on_drawn_generators(drawn, n):
+    letters = symmetric_letters(dict(zip("abc", drawn[1][:n])))
+    walked = [
+        (word, tables(value), known) for word, value, known in _reduced_words(letters, 3, {})
+    ]
+    assert walked == reference_reduced_words(letters, 3)
 
 
 # -- level actions and level graphs --------------------------------------------

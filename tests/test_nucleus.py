@@ -459,6 +459,47 @@ def test_self_similarity_stops_at_its_last_witness(compose_calls):
     assert len(compose_calls) <= 20
 
 
+@pytest.fixture
+def pair_walks(monkeypatch):
+    """Lists that every core._pair_quotient walk, _quotient_at read-off and
+    _products call appends to, once the catalog is built."""
+    builtin()
+    calls = {"walks": [], "reads": [], "products": []}
+    for name, key in (("_pair_quotient", "walks"), ("_quotient_at", "reads"), ("_products", "products")):
+
+        def counting(*args, _call=getattr(core, name), _calls=calls[key]):
+            _calls.append(None)
+            return _call(*args)
+
+        monkeypatch.setattr(core, name, counting)
+    return calls
+
+
+def test_ball_takes_one_pair_walk_per_layer(pair_walks):
+    gens = entry("aleshin").generators
+    elements, closed = ball(gens, 4)
+    assert len(elements) == 1 + 6 * (5**4 - 1) // 4 and not closed
+    assert len(pair_walks["walks"]) == 4
+    assert pair_walks["products"] == []
+
+
+def test_self_similarity_reads_off_only_what_it_consumed(monkeypatch, pair_walks):
+    consumed = []
+    reduced_words = nucleus_module._reduced_words
+
+    def counting_reduced_words(*args):
+        for item in reduced_words(*args):
+            consumed.append(item)
+            yield item
+
+    monkeypatch.setattr(nucleus_module, "_reduced_words", counting_reduced_words)
+    rep = is_self_similar(entry("basilica").generators, max_len=4, budget=5)
+    assert rep.verdict == "yes"
+    # every witness has length 1, so the walk of the first layer serves them all
+    assert len(pair_walks["walks"]) == 1
+    assert 0 < len(pair_walks["reads"]) <= len(consumed)
+
+
 def test_germ_group_inverts_each_class_once(monkeypatch, compose_calls):
     invert = nucleus_module.invert
     calls = []
