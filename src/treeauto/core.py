@@ -37,10 +37,10 @@ minimal quotient.  The blocks one start reaches, with the identity
 block, are a sub-machine of that quotient, so they are minimal by the
 same argument; renumbered breadth-first from the start's block they are
 the canonical form of that one product, whatever the other starts
-added to the walk.  _products reads off the products of one element
-with several states of a right machine, and compose is the case of a
-single start.  The ball takes one walk per layer (_reduced_words), the
-nucleus closure one per batch of rows of its members' machine.
+added to the walk.  compose reads its one product off a walk with a
+single start (_product).  The ball takes one walk per layer
+(_reduced_words), the relator search one per half-length, the nucleus
+closure one per batch of rows of its members' machine.
 
 Every value that needs minimizing comes from that walk; sections and
 inverses need only the renumbering above.  A declared machine
@@ -241,7 +241,7 @@ class Automorphism:
             perms.append(perm)
             trans.append(row)
         # the product of the identity with the declared tables (module docstring)
-        return _products(e, perms, trans, [index[initial]])[0]
+        return _product(e, perms, trans, index[initial])
 
     def _with_initial(self, s: int) -> "Automorphism":
         """The section at state s, by renumbering alone (module docstring)."""
@@ -380,9 +380,9 @@ def identity(k: int) -> Automorphism:
 def compose(g: Automorphism, h: Automorphism) -> Automorphism:
     """The product g h acting by (g h)(v) = g(h(v)).
 
-    The one-start case of _products: pairs reachable from (initial,
-    initial) only, minimized, so products of elements with small canonical
-    machines stay small no matter how long the generating word was.
+    The pairs reachable from (initial, initial), minimized (_product), so
+    products of elements with small canonical machines stay small no
+    matter how long the generating word was.
     """
     if g.k != h.k:
         raise ValueError("alphabet mismatch: %d vs %d" % (g.k, h.k))
@@ -390,32 +390,26 @@ def compose(g: Automorphism, h: Automorphism) -> Automorphism:
         return h
     if h.initial == 0:
         return g
-    return _products(g, h.perms, h.trans, [h.initial])[0]
+    return _product(g, h.perms, h.trans, h.initial)
 
 
-def _products(g: Automorphism, hperms, htrans, starts) -> list[Automorphism]:
-    """The products of g with the states `starts` of one right machine.
+def _product(g: Automorphism, hperms, htrans, start: int) -> Automorphism:
+    """The product of g with the state `start` of a right machine.
 
     hperms and htrans are the tables of a machine on g's alphabet whose
-    state 0 is the identity row.  One pair walk from the start pairs
-    (initial, s) and one refinement serve every product (_pair_quotient);
-    each is read off the quotient by breadth-first renumbering from its
-    block (module docstring).  A lone start 1 of a walk that is already
-    minimal is numbered canonically as it stands and is returned as it is.
+    state 0 is the identity row.  One pair walk from (initial, start) and
+    one refinement (_pair_quotient); the product is read off the quotient
+    by breadth-first renumbering from its block (module docstring).  A
+    walk that is already minimal is numbered canonically as it stands and
+    is returned as it is, unless its start is the identity pair.
     """
     k = g.k
-    perms, cols, ids, firsts = _pair_quotient(
-        g.perms, g.trans, hperms, htrans, [(g.initial, s) for s in starts]
-    )
+    perms, cols, ids, [first] = _pair_quotient(g.perms, g.trans, hperms, htrans, [(g.initial, start)])
     # first-met block numbers give ids[i] <= i, with equality at the last
     # pair exactly when every block is a single pair
-    if firsts == [1] and ids[-1] == len(ids) - 1:
-        return [Automorphism(k, tuple(perms), tuple(zip(*cols)), 1, _raw=True)]
-    products = {}
-    for start in firsts:
-        if ids[start] not in products:
-            products[ids[start]] = _quotient_at(k, perms, cols, ids, start)
-    return [products[ids[start]] for start in firsts]
+    if first == 1 and ids[-1] == len(ids) - 1:
+        return Automorphism(k, tuple(perms), tuple(zip(*cols)), 1, _raw=True)
+    return _quotient_at(k, perms, cols, ids, first)
 
 
 def _pair_quotient(gperms, gtrans, hperms, htrans, pairs) -> tuple[list, list, list, list]:

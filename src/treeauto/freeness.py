@@ -33,11 +33,12 @@ is not extended: a listed relator, and every trivial cyclic factor with
 no trivial proper factor, has no trivial proper prefix or suffix, so both
 of its halves are still reached.  A trivial word is listed when it is
 cyclically reduced and no rotation has a trivial proper prefix, read off
-the trivial words formed, with no products.  A class value's products
-with every letter come from one core._products call over a right machine
-of all the letters, as in the ball walk, and are kept for the rest of the
-call, so in a contracting group, where the words take few distinct
-values, each value is walked once instead of once per word and length.
+the trivial words formed, with no products.  Each half-length is one
+core._pair_quotient walk of the last length's quotient with the letters,
+from each class by each letter and one seed (class, identity) per class
+of the last length.  In one walk a block is a value, so classes are keyed
+by block, seeds pair them with the last length's and block 0 is the
+identity; no value is built.
 
 Budgets: find_relations counts one per word extension and one per trivial
 word formed, one count shared by the fast path and the exact path and
@@ -62,11 +63,11 @@ from .core import (
     BoundaryPoint,
     BudgetExceeded,
     _distinct_words,
-    _products,
+    _pair_quotient,
+    _quotient_rows,
     _right_machine,
     compose,
     evaluate_word,
-    identity,
     invert,
     symmetric_letters,
 )
@@ -153,55 +154,57 @@ def find_relations(
         else:
             return RelationReport(max_len, (), True)
 
-    # the exact path reads the relators off the values of words of half the
+    # the exact path reads the relators off the classes of words of half the
     # length: a reduced word u v^-1 is trivial exactly when u and v are equal
     letters = [letter for letter, _ in steps]
     inverse = {x: (x[0], -x[1]) if (x[0], -x[1]) in letters else x for x in letters}
     hperms, htrans, hstarts = _right_machine([g for _, g in steps])
-    children: dict[Automorphism, list] = {}  # a value's products with each letter
-    e = identity(steps[0][1].k)
-    previous = {e: [()]}  # the last length's words by value
+    perms, cols, ids = hperms[:1], [[0]] * len(hperms[0]), [0]  # length 0: the identity row
+    previous = {0: [()]}  # the last length's words by block
     trivial = set()
     for m in range(1, (max_len + 1) // 2 + 1):
-        classes: dict[Automorphism, list] = {}
-        for value, words in previous.items():
-            if m > 1 and value.is_identity():
-                continue  # a trivial word is not extended (module docstring)
-            if value not in children:
-                children[value] = _products(value, hperms, htrans, hstarts)
-            for x, product in zip(letters, children[value]):
-                grown = [w + (x,) for w in words if not w or w[-1] != (x[0], -x[1])]
-                charge(len(grown))
-                if grown:
-                    classes.setdefault(product, []).extend(grown)
+        # every class by every letter, but a trivial word is not extended
+        # (module docstring), then one seed per class, its block its value
+        children = [(b, x, s) for b in previous if m == 1 or b for x, s in zip(letters, hstarts)]
+        starts = [(b, s) for b, _, s in children] + [(b, 0) for b in previous]
+        gperms, gtrans = _quotient_rows(perms, cols, ids)  # length m - 1's quotient
+        perms, cols, ids, firsts = _pair_quotient(gperms, gtrans, hperms, htrans, starts)
+        classes: dict[int, list] = {}  # this length's words by block
+        for (b, x, _), f in zip(children, firsts):
+            grown = [w + (x,) for w in previous[b] if not w or w[-1] != (x[0], -x[1])]
+            charge(len(grown))
+            if grown:
+                classes.setdefault(ids[f], []).extend(grown)
+        shorter = {ids[f]: words for words, f in zip(previous.values(), firsts[len(children):])}
 
         # each trivial reduced word of length 2m - 1 or 2m splits once as
         # u v^-1 with |u| = m and |v| = m - 1 or m; past m = 1, a trivial u
         # is a trivial proper prefix
         new = []
-        for value, us in classes.items():
-            if m > 1 and value.is_identity():
+        for b, us in classes.items():
+            if m > 1 and b == 0:
                 continue
             # by last letter, so the work on u v^-1 that does not reduce is
             # one lookup per v, not one per pair, and the budget bounds it
             by_end: dict[tuple, list] = {}
             for u in us:
                 by_end.setdefault(u[-1], []).append(u)
-            for v in previous.get(value, []) + (us if 2 * m <= max_len else []):
+            for v in shorter.get(b, []) + (us if 2 * m <= max_len else []):
                 tail = tuple(inverse[x] for x in reversed(v))
                 cancels = tail and (tail[0][0], -tail[0][1])
                 charge(len(us) - len(by_end.get(cancels, ())))
                 new.extend(u + tail for end, group in by_end.items() if end != cancels for u in group)
         previous = classes
 
-        # the listing rule: cyclically reduced, and no rotation with a
-        # trivial proper prefix
+        # the listing rule on reduced words: cyclically reduced, and no
+        # rotation with a trivial proper prefix of a length trivial words have
         trivial.update(new)
+        lengths = sorted({len(w) for w in trivial})
         for word in new:
             n = len(word)
             twice = word + word
-            if Word(word).is_cyclically_reduced() and not any(
-                twice[r:r + i] in trivial for r in range(n) for i in range(1, n)
+            if word[0] != (word[-1][0], -word[-1][1]) and not any(
+                twice[r:r + i] in trivial for i in lengths if i < n for r in range(n)
             ):
                 found.add(word)
     return RelationReport(max_len, found.sorted(), True)

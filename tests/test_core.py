@@ -147,14 +147,14 @@ def test_power_operator():
 def test_power_squares_only_while_bits_remain(monkeypatch):
     a = ADDING["a"]
     a8 = evaluate_word(ADDING, "a a a a a a a a")
-    products = core._products
+    product = core._product
     calls = []
 
-    def counting_products(*args):
+    def counting_product(*args):
         calls.append(None)
-        return products(*args)
+        return product(*args)
 
-    monkeypatch.setattr(core, "_products", counting_products)
+    monkeypatch.setattr(core, "_product", counting_product)
     assert a ** 1 == a
     assert calls == []  # a ** 1 used to compose a a as well
     assert a ** 8 == a8

@@ -16,8 +16,8 @@ Sections read off by renumbering alone (Automorphism._with_initial) must
 equal the canonicalizing build of the same state, on drawn machines and on
 catalog words; inverses, also renumbered alone, must be canonical there.
 
-Products of one element with several right factors from one pair walk
-(core._products) must equal compose factor by factor.  The ball walk, one
+The product read off a pair walk from any state of a right machine
+(core._product) must equal compose and be canonical.  The ball walk, one
 pair walk per layer (core._reduced_words), must give the sequence of a
 walk composing once per word, on the catalog and on drawn generators.
 
@@ -208,7 +208,7 @@ def assert_sections_by_renumbering(g: Automorphism):
     """_with_initial against each section canonicalized from scratch: the
     product of the identity with g's tables started at the section's state."""
     for s in range(g.state_count):
-        assert g._with_initial(s) == core._products(identity(g.k), g.perms, g.trans, [s])[0], s
+        assert g._with_initial(s) == core._product(identity(g.k), g.perms, g.trans, s), s
 
 
 @PROPERTIES
@@ -240,7 +240,7 @@ def test_section(drawn):
                 assert sec.apply(v) == g.apply(u + v)[n:]
 
 
-# -- products with several right factors ----------------------------------------
+# -- products with the states of a right machine ---------------------------------
 
 
 def tables(a: Automorphism) -> tuple:
@@ -254,13 +254,12 @@ def test_products_equal_compose(drawn):
     hs = [identity(g.k), h, h, g, g.inverse(), f]
     perms, trans, starts = core._right_machine(hs)
     for left in (g, compose(g, h)):
-        products = core._products(left, perms, trans, starts)
-        assert [tables(p) for p in products] == [tables(compose(left, x)) for x in hs]
-        for p in products:
-            assert_canonical(p)
-        # compose's case: one start on the right factor's own tables
-        [gh] = core._products(left, h.perms, h.trans, [h.initial])
-        assert tables(gh) == tables(compose(left, h))
+        for x, start in zip(hs, starts):
+            product = core._product(left, perms, trans, start)
+            assert tables(product) == tables(compose(left, x))
+            assert_canonical(product)
+        # compose's case: the right factor's own tables
+        assert tables(core._product(left, h.perms, h.trans, h.initial)) == tables(compose(left, h))
 
 
 def reference_reduced_words(letters, max_len: int) -> list:

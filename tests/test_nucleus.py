@@ -360,7 +360,7 @@ def reference_is_self_similar(gens, max_len, budget=100000):
     for name in sorted(gens):
         g = gens[name]
         for x in range(g.k):
-            section = core._products(identity(g.k), g.perms, g.trans, [g.trans[g.initial][x]])[0]
+            section = core._product(identity(g.k), g.perms, g.trans, g.trans[g.initial][x])
             found = elements.get(section)
             witnesses[(name, x)] = None if found is None else str(found)
     if None not in witnesses.values():
@@ -462,10 +462,10 @@ def test_self_similarity_stops_at_its_last_witness(compose_calls):
 @pytest.fixture
 def pair_walks(monkeypatch):
     """Lists that every core._pair_quotient walk, _quotient_at read-off and
-    _products call appends to, once the catalog is built."""
+    _product call appends to, once the catalog is built."""
     builtin()
     calls = {"walks": [], "reads": [], "products": []}
-    for name, key in (("_pair_quotient", "walks"), ("_quotient_at", "reads"), ("_products", "products")):
+    for name, key in (("_pair_quotient", "walks"), ("_quotient_at", "reads"), ("_product", "products")):
 
         def counting(*args, _call=getattr(core, name), _calls=calls[key]):
             _calls.append(None)

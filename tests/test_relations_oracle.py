@@ -122,7 +122,7 @@ def generator_pairs(draw):
 
 
 @PROPERTIES
-@given(gens=generator_pairs(), max_len=st.integers(1, 4))
+@given(gens=generator_pairs(), max_len=st.integers(1, 6))
 def test_relations_match_the_oracle_on_drawn_pairs(gens, max_len):
     assert find_relations(gens, max_len) == oracle_relations(gens, max_len)
 
@@ -186,40 +186,42 @@ def test_other_partials_are_frozen():
         )
 
 
-def _count_products(monkeypatch):
-    """The left operands of the relator search's pair walks and the
-    number of compose calls, anywhere, as find_relations runs."""
-    products, composed = [], []
-    pair_walk, compose = freeness._products, core.compose
+def _count_walks(monkeypatch):
+    """The relator search's pair walks, each as its number of start pairs,
+    and the number of compose calls, anywhere, as find_relations runs."""
+    walks, composed = [], []
+    pair_walk, compose = freeness._pair_quotient, core.compose
 
-    def counting_products(g, *machine):
-        products.append(g)
-        return pair_walk(g, *machine)
+    def counting_walk(*machines_and_starts):
+        walks.append(len(machines_and_starts[-1]))
+        return pair_walk(*machines_and_starts)
 
     def counting_compose(g, h):
         composed.append(None)
         return compose(g, h)
 
-    monkeypatch.setattr(freeness, "_products", counting_products)
+    monkeypatch.setattr(freeness, "_pair_quotient", counting_walk)
     monkeypatch.setattr(core, "compose", counting_compose)
     monkeypatch.setattr(freeness, "compose", counting_compose)
-    return products, composed
+    return walks, composed
 
 
 def test_relator_search_shares_products(monkeypatch):
-    products, composed = _count_products(monkeypatch)
+    walks, composed = _count_walks(monkeypatch)
     rep = find_relations(entry("grigorchuk").generators, 6)
     assert len(rep.relators) == 9
     assert composed == []
-    assert len(products) <= 11
+    assert len(walks) == 3
 
 
-def test_each_class_value_takes_one_pair_walk(monkeypatch):
-    products, composed = _count_products(monkeypatch)
+def test_each_half_length_takes_one_pair_walk(monkeypatch):
+    walks, composed = _count_walks(monkeypatch)
     find_relations(entry("grigorchuk").generators, 5)
-    # e, a, b, c, d and the six values a x, x a of length 2 (b c = d and
-    # the like repeat a value of length 1)
-    assert len(products) == len(set(products)) == 11
+    # half-lengths 1, 2, 3, as (classes extended) * (letters) + (seeds):
+    # the empty word; a, b, c, d; the ten classes of length 2, that is the
+    # trivial one, which is not extended, a x and x a for x = b, c, d, and
+    # b, c, d again (b c = d and the like)
+    assert walks == [1 * 4 + 1, 4 * 4 + 4, 9 * 4 + 10]
     assert composed == []
 
 
@@ -247,10 +249,10 @@ def test_the_budget_bounds_the_pairing():
     assert time.perf_counter() - start < 1
 
 
-def test_half_length_classes_take_one_product_per_short_word(monkeypatch):
-    products, composed = _count_products(monkeypatch)
+def test_half_length_classes_take_one_pair_walk_per_length(monkeypatch):
+    walks, composed = _count_walks(monkeypatch)
     assert find_relations(entry("basilica").generators, 7) == RelationReport(7, (), True)
     # the fast path values its words on a repeated level action, and the
-    # exact path takes one pair walk per distinct value of length 0..3
+    # exact path takes one pair walk per half-length 1..4
     assert len(composed) <= 8
-    assert len(products) == len(set(products)) <= 53
+    assert len(walks) == 4
