@@ -33,17 +33,20 @@ the numbering has to be redone.
 Minimizing is one pair walk and one refinement (_pair_quotient): the
 state pairs of a left and a right machine reachable from a list of start
 pairs form one machine, and Moore refinement of that machine gives its
-minimal quotient.  The blocks one start reaches, with the identity
-block, are a sub-machine of that quotient, so they are minimal by the
-same argument; renumbered breadth-first from the start's block they are
-the canonical form of that one product, whatever the other starts
-added to the walk.  compose reads its one product off a walk with a
-single start (_product).  The ball takes one walk per layer
-(_reduced_words), the relator search one per half-length, the nucleus
-closure one per batch of rows of its members' machine.
+minimal quotient, one row per block (_quotient_rows).  The blocks one
+start reaches, with the identity block, are a sub-machine of that
+quotient, so they are minimal by the same argument; renumbered
+breadth-first from the start's block they are the canonical form of that
+one product, whatever the other starts added to the walk.  compose reads
+its one product off a walk with a single start (_product).  The ball
+takes one walk per layer (_reduced_words), the relator search one per
+half-length, the nucleus closure one per batch of rows of its members'
+machine.
 
 Every value that needs minimizing comes from that walk; sections and
-inverses need only the renumbering above.  A declared machine
+inverses need only the renumbering above.  Sections, inverses and
+products share that one renumbering (_renumbered), a product taking it
+on the quotient rows of its walk.  A declared machine
 (from_states) is the product of the identity with its tables: the pairs
 (0, s) reachable from (0, initial) are exactly the declared states that
 initial reaches, numbered breadth-first.
@@ -247,8 +250,6 @@ class Automorphism:
         """The section at state s, by renumbering alone (module docstring)."""
         if s == self.initial:
             return self
-        if s == 0:
-            return Automorphism.identity(self.k)
         return _renumbered(self.k, self.perms, self.trans, s)
 
     # -- value semantics -------------------------------------------------
@@ -347,8 +348,6 @@ class Automorphism:
 
     def inverse(self) -> "Automorphism":
         """The inverse, by renumbering alone (module docstring)."""
-        if self.initial == 0:
-            return self
         perms = [_perm_inverse(p) for p in self.perms]
         trans = [tuple([row[y] for y in inv]) for row, inv in zip(self.trans, perms)]
         return _renumbered(self.k, perms, trans, self.initial)
@@ -398,10 +397,11 @@ def _product(g: Automorphism, hperms, htrans, start: int) -> Automorphism:
 
     hperms and htrans are the tables of a machine on g's alphabet whose
     state 0 is the identity row.  One pair walk from (initial, start) and
-    one refinement (_pair_quotient); the product is read off the quotient
-    by breadth-first renumbering from its block (module docstring).  A
-    walk that is already minimal is numbered canonically as it stands and
-    is returned as it is, unless its start is the identity pair.
+    one refinement (_pair_quotient); the product is read off the
+    quotient's rows by breadth-first renumbering from its block
+    (_renumbered, module docstring).  A walk that is already minimal is
+    numbered canonically as it stands and is returned as it is, unless
+    its start is the identity pair.
     """
     k = g.k
     perms, cols, ids, [first] = _pair_quotient(g.perms, g.trans, hperms, htrans, [(g.initial, start)])
@@ -409,7 +409,7 @@ def _product(g: Automorphism, hperms, htrans, start: int) -> Automorphism:
     # pair exactly when every block is a single pair
     if first == 1 and ids[-1] == len(ids) - 1:
         return Automorphism(k, tuple(perms), tuple(zip(*cols)), 1, _raw=True)
-    return _quotient_at(k, perms, cols, ids, first)
+    return _renumbered(k, *_quotient_rows(perms, cols, ids), ids[first])
 
 
 def _pair_quotient(gperms, gtrans, hperms, htrans, pairs) -> tuple[list, list, list, list]:
@@ -487,22 +487,25 @@ def _right_machine(values) -> tuple[list, list, list]:
 
 
 def _renumbered(k: int, perms, trans, s: int) -> Automorphism:
-    """The automorphism at state s != 0 of a minimal machine's tables,
-    its states numbered breadth-first as in the module docstring."""
+    """The automorphism at state s of a minimal machine's tables, its
+    states numbered breadth-first as in the module docstring, each row
+    built as its state is reached; state 0 gives the identity."""
+    if s == 0:
+        return Automorphism.identity(k)
     number = {0: 0, s: 1}
     order = [s]
+    new_perms, new_trans = [perms[0]], [trans[0]]
     for t in order:  # the list grows while it is walked
+        row = []
         for u in trans[t]:
-            if u not in number:
-                number[u] = len(number)
+            v = number.get(u)
+            if v is None:
+                v = number[u] = len(number)
                 order.append(u)
-    return Automorphism(
-        k,
-        (perms[0],) + tuple([perms[t] for t in order]),
-        (trans[0],) + tuple([tuple([number[u] for u in trans[t]]) for t in order]),
-        1,
-        _raw=True,
-    )
+            row.append(v)
+        new_perms.append(perms[t])
+        new_trans.append(tuple(row))
+    return Automorphism(k, tuple(new_perms), tuple(new_trans), 1, _raw=True)
 
 
 def _quotient_rows(perms, cols, ids) -> tuple[list, list]:
@@ -510,24 +513,6 @@ def _quotient_rows(perms, cols, ids) -> tuple[list, list]:
     pair in each; blocks are numbered as first met, so row b is block b."""
     reps = dict(zip(ids, range(len(ids)))).values()
     return [perms[r] for r in reps], [tuple([ids[col[r]] for col in cols]) for r in reps]
-
-
-def _quotient_at(k: int, perms, cols, ids, start: int) -> Automorphism:
-    """The state `start` of the quotient by the blocks `ids`, numbered
-    breadth-first from it; block 0 is state 0's, the identity."""
-    if ids[start] == 0:
-        return Automorphism.identity(k)
-    number = {0: 0, ids[start]: 1}
-    reps = [start]
-    for s in reps:  # the list grows while it is walked
-        for col in cols:
-            t = col[s]
-            if ids[t] not in number:
-                number[ids[t]] = len(number)
-                reps.append(t)
-    new_perms = (perms[0],) + tuple([perms[s] for s in reps])
-    new_trans = ((0,) * k,) + tuple([tuple([number[ids[col[s]]] for col in cols]) for s in reps])
-    return Automorphism(k, new_perms, new_trans, 1, _raw=True)
 
 
 def invert(g: Automorphism) -> Automorphism:
@@ -639,7 +624,8 @@ def _reduced_words(letters, max_len: int, elements: dict):
     value.  Stops early at a length that stores nothing.  A layer is one
     _pair_quotient walk of the last layer's quotient with the letters, from
     each child's (prefix block, letter): at most len(letters) starts per
-    stored element.  A block's value is read off when first reached.
+    stored element.  A block's value is read off the layer's quotient
+    rows, which are the next layer's left machine, when first reached.
     """
     k = letters[0][1].k
     hperms, htrans, hstarts = _right_machine([g for _, g in letters])
@@ -648,24 +634,25 @@ def _reduced_words(letters, max_len: int, elements: dict):
     for (name, sign), _ in letters:
         after[((name, sign),)] = [i for i, (letter, _) in enumerate(letters) if letter != (name, -sign)]
     elements[Automorphism.identity(k)] = Word(())
-    perms, cols, ids = [tuple(range(k))], [[0]] * k, [0]  # layer 0's quotient: the identity row
+    gperms, gtrans = [tuple(range(k))], [(0,) * k]  # layer 0's quotient: the identity row
     layer = [(Word(()), 0)]  # (word, block) of each new element of the last layer
     for _ in range(max_len):
-        gperms, gtrans = _quotient_rows(perms, cols, ids)
         children = [(word, b, i) for word, b in layer for i in after[word.letters[-1:]]]
         starts = [(b, hstarts[i]) for _, b, i in children]
         perms, cols, ids, firsts = _pair_quotient(gperms, gtrans, hperms, htrans, starts)
+        gperms, gtrans = _quotient_rows(perms, cols, ids)
         values: dict = {}  # block -> its value
         nxt = []
         for (word, _, i), f in zip(children, firsts):
             b = ids[f]
-            if b not in values:
-                values[b] = _quotient_at(k, perms, cols, ids, f)
+            value = values.get(b)
+            if value is None:
+                value = values[b] = _renumbered(k, gperms, gtrans, b)
             child = Word(word.letters + (letters[i][0],))
-            known = elements.get(values[b])
-            yield child, values[b], known
+            known = elements.get(value)
+            yield child, value, known
             if known is None:
-                elements[values[b]] = child
+                elements[value] = child
                 nxt.append((child, b))
         if not nxt:
             return

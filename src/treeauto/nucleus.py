@@ -153,7 +153,7 @@ def nucleus(
         generations += 1
         fresh: dict[Automorphism, tuple] = {}  # new member -> its root perm and sections
         rows = [state[g] for g in sorted(N, key=Automorphism.sort_key)]
-        seeds = [(s, 0) for s in range(1, len(mperms))]
+        seeds = [(s, 0) for s in range(len(mperms))]
         lo, size = 0, 1
         while lo < len(rows):
             # rows in batches of 1, 2, 4, ...: a sweep that stops early pays
@@ -164,8 +164,7 @@ def nucleus(
             perms, cols, ids, firsts = _pair_quotient(mperms, mtrans, mperms, mtrans, starts + seeds)
             bperms, btrans = _quotient_rows(perms, cols, ids)
             # the seed (s, 0) is member s; any other block's value is built once
-            built = {0: value[0]}
-            built.update((ids[f], value[s]) for s, f in enumerate(firsts[len(starts) :], 1))
+            built = {ids[f]: value[s] for s, f in enumerate(firsts[len(starts) :])}
             settled = set(built)  # blocks whose sections all lie in N or fresh
             block = {}  # built value -> its block
             for f in firsts[: len(starts)]:

@@ -20,6 +20,12 @@ The product read off a pair walk from any state of a right machine
 (core._product) must equal compose and be canonical.  The ball walk, one
 pair walk per layer (core._reduced_words), must give the sequence of a
 walk composing once per word, on the catalog and on drawn generators.
+Sections, inverses, compose and the ball all end in one renumbering
+(core._renumbered), so that comparison would miss a numbering fault
+they share; every walked value and every section of one is therefore
+also checked on its own: canonical by its tables alone, and acting on a
+whole level as its word does, letter by letter through the generators'
+apply.
 
 The keyed word walk (core._distinct_words) must give the exact walk's
 sequence word for word, as built and forced to settle many repeated keys
@@ -308,6 +314,38 @@ def test_reduced_words_on_drawn_generators(drawn, n):
         (word, tables(value), known) for word, value, known in _reduced_words(letters, 3, {})
     ]
     assert walked == reference_reduced_words(letters, 3)
+    assert_walked_values(letters, 3)
+
+
+def assert_walked_values(letters, max_len: int):
+    """Every value of the ball walk, and every section of one, is canonical,
+    and the value acts on a whole level (4 for two letters, 3 for three) as
+    its word does, letter by letter through the generators' apply: an
+    inverse letter maps each image back to its vertex.  Neither check
+    compares with another value built by the same renumbering."""
+    k = letters[0][1].k
+    level = words(k, 4 if k == 2 else 3)
+    act = {}
+    for (name, sign), g in letters:
+        if sign > 0:
+            act[name, 1] = {v: g.apply(v) for v in level}
+            act[name, -1] = {image: v for v, image in act[name, 1].items()}
+    sections = set()
+    for word, value, _ in _reduced_words(letters, max_len, {}):
+        assert_canonical(value)
+        sections.update(map(value._with_initial, range(value.state_count)))
+        for v in level:
+            image = v
+            for letter in reversed(word.letters):  # the rightmost letter acts first
+                image = act[letter][image]
+            assert value.apply(v) == image, (word, v)
+    for section in sections:
+        assert_canonical(section)
+
+
+@pytest.mark.parametrize("family", sorted(PRODUCT_FAMILIES))
+def test_walked_values_act_as_their_words(family):
+    assert_walked_values(symmetric_letters(PRODUCT_FAMILIES[family]), 4)
 
 
 # -- level actions and level graphs --------------------------------------------

@@ -461,14 +461,17 @@ def test_self_similarity_stops_at_its_last_witness(compose_calls):
 
 @pytest.fixture
 def pair_walks(monkeypatch):
-    """Lists that every core._pair_quotient walk, _quotient_at read-off and
-    _product call appends to, once the catalog is built."""
+    """Lists that every core._pair_quotient walk and _product call appends
+    to, once the catalog is built, and every _renumbered read-off once a
+    walk has started: the sections and inverses read off to set up the
+    walk's letters are not counted."""
     builtin()
     calls = {"walks": [], "reads": [], "products": []}
-    for name, key in (("_pair_quotient", "walks"), ("_quotient_at", "reads"), ("_product", "products")):
+    for name, key in (("_pair_quotient", "walks"), ("_renumbered", "reads"), ("_product", "products")):
 
-        def counting(*args, _call=getattr(core, name), _calls=calls[key]):
-            _calls.append(None)
+        def counting(*args, _call=getattr(core, name), _key=key):
+            if _key != "reads" or calls["walks"]:
+                calls[_key].append(None)
             return _call(*args)
 
         monkeypatch.setattr(core, name, counting)
@@ -480,6 +483,8 @@ def test_ball_takes_one_pair_walk_per_layer(pair_walks):
     elements, closed = ball(gens, 4)
     assert len(elements) == 1 + 6 * (5**4 - 1) // 4 and not closed
     assert len(pair_walks["walks"]) == 4
+    # one read-off per non-identity block: no child of a free group's walk is trivial
+    assert len(pair_walks["reads"]) == 936
     assert pair_walks["products"] == []
 
 
