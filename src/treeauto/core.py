@@ -559,24 +559,37 @@ def level_action(g: Automorphism, n: int) -> tuple[list[int], list[int]]:
 
     Vertices are base-k integers, first letter most significant.  Levels
     are built bottom up by pi_s(x k^(m-1) + w) = perm_s(x) k^(m-1) + pi_t(w),
-    t = trans_s(x), one sweep over the states g reaches after n - m letters.
+    t = trans_s(x), one sweep over the nontrivial states g reaches after
+    n - m letters.  The identity state is never swept: a trivial child's
+    images are a range and its states zeros, and a child that perm_s(x)
+    leaves unshifted (perm_s(x) = 0) is copied as it is.
     """
     if n < 0:
         raise ValueError("level must be nonnegative")
+    if not g.initial:
+        return list(range(g.k ** n)), [0] * g.k ** n
     reach = [{g.initial}]
     for _ in range(n):
-        reach.append({t for s in reach[-1] for t in g.trans[s]})
+        reach.append({t for s in reach[-1] for t in g.trans[s] if t})
     images = {s: [0] for s in reach[n]}
     states = {s: [s] for s in reach[n]}
     size = 1
     for d in range(n - 1, -1, -1):
+        zeros = [0] * size
         new_images, new_states = {}, {}
         for s in reach[d]:
             img, st = [], []
             for x, t in enumerate(g.trans[s]):
                 base = g.perms[s][x] * size
-                img += [base + w for w in images[t]]
-                st += states[t]
+                if not t:
+                    img += range(base, base + size)
+                    st += zeros
+                elif base:
+                    img += [base + w for w in images[t]]
+                    st += states[t]
+                else:
+                    img += images[t]
+                    st += states[t]
             new_images[s], new_states[s] = img, st
         images, states, size = new_images, new_states, size * g.k
     return images[g.initial], states[g.initial]

@@ -16,11 +16,24 @@ component's boundary counts only nontrivial sections, in all at most the
 generators' activity, so the candidate's ratio is at most the per-level
 bound sum_s theta(s, n) / k^n.
 
-Whole levels come from core.level_action: the level-n vertex x_1 ... x_n
-is the integer with base-k digits x_1 ... x_n, first letter most
-significant (integer order is lex order), and a state s acts on it by
+The level-n vertex x_1 ... x_n is the integer with base-k digits
+x_1 ... x_n, first letter most significant (integer order is lex order).
+Reduced graphs are built level by level from the root, off the
+generators' tables.  A trivial edge u -> g(u) lifts to the trivial edges
+u x -> g(u) x, so a component C of level m becomes the pieces C x, one
+per letter, each connected on level m + 1.  Pieces are glued only by the
+trivial edges below a nontrivial section: g|_u = s gives u x -> g(u)
+pi_s(x), trivial when s|_x is.  So a level is carried by its nontrivial
+sections alone, each kept with the components of u and g(u) and whether
+g fixes u (for the boundary), grouped by generator and state; in the
+bounded groups these are a bounded number per level, and vertices are
+touched only to list a component.  A component is named by its least
+vertex: the piece C x has least vertex (least C) k + x, so pieces met in
+order of their names are met in order of least vertex.
+
+Orbits come from core.level_action: a state s acts on level n by
 pi_s(x k^(n-1) + w) = pi_s(x) k^(n-1) + pi_{s|x}(w), one sweep per level.
-Orbits use the same sweep when the whole level fits the vertex budget
+Orbits use the sweep when the whole level fits the vertex budget
 (k ** n <= budget), even a small orbit, and search over those integers; a
 level over the budget is walked vertex by vertex from the start, the only
 way a small orbit on a deep level can be found.
@@ -28,9 +41,11 @@ way a small orbit on a deep level can be found.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product, repeat
+from operator import not_
 from typing import Mapping
 
 from .core import Automorphism, BudgetExceeded, _alphabet, level_action, symmetric_letters
@@ -70,7 +85,8 @@ def _orbit(gens: Mapping[str, Automorphism], v, budget: int):
                 if not seen[w]:
                     seen[w] = 1
                     queue.append(w)
-        return tuple(syms), k, n, sorted(queue), rows
+        keys = sorted(queue) if len(queue) < k ** n else list(range(k ** n))
+        return tuple(syms), k, n, keys, rows
     rows = [({}, {}) for _ in values]
     seen = {start}
     queue = [start]
@@ -94,6 +110,8 @@ def _vertices(keys: list, k: int, n: int) -> tuple[tuple[int, ...], ...]:
     """The vertex tuples of sorted orbit keys."""
     if isinstance(keys[0], tuple):
         return tuple(keys)
+    if len(keys) == k ** n:
+        return tuple(product(range(k), repeat=n))
     if 2 * len(keys) >= k ** n:  # most of the level: index all of it once
         verts = list(product(range(k), repeat=n))
         return tuple(map(verts.__getitem__, keys))
@@ -132,16 +150,25 @@ def schreier_graph(
     budget: int = 10 ** 6,
 ) -> SchreierGraph:
     labels, k, n, keys, rows = _orbit(gens, v, budget)
-    index = {u: i for i, u in enumerate(keys)}
-    edges = tuple(
-        (i, j, index[images[u]], states[u] == 0)
-        for i, u in enumerate(keys)
-        for j, (images, states) in enumerate(rows)
-    )
+    if len(keys) == k ** n and isinstance(rows[0][0], list):
+        # a whole swept level: each key is its own index, so the edges are
+        # the label columns interleaved
+        columns = [
+            zip(keys, repeat(j), images, list(map(not_, states)))
+            for j, (images, states) in enumerate(rows)
+        ]
+        edges = tuple(chain.from_iterable(zip(*columns)))
+    else:
+        index = {u: i for i, u in enumerate(keys)}
+        edges = tuple(
+            (i, j, index[images[u]], states[u] == 0)
+            for i, u in enumerate(keys)
+            for j, (images, states) in enumerate(rows)
+        )
     return SchreierGraph(n, labels, _vertices(keys, k, n), edges)
 
 
-def _level_vertices(k: int, level: int, budget: int) -> int:
+def _level_vertices(k: int, level: int, budget: int) -> None:
     if budget < 1:
         raise ValueError("budget must be at least 1")
     if level < 0:
@@ -151,41 +178,107 @@ def _level_vertices(k: int, level: int, budget: int) -> int:
             "level %d has %d vertices, over the budget of %d" % (level, k ** level, budget),
             budget="vertices", spent=k ** level, limit=budget,
         )
-    return k ** level
 
 
-def _reduced_graph(gens: Mapping[str, Automorphism], level: int, budget: int):
-    """(k, components, boundaries, active) of the level's reduced graph.
+def _reduced_levels(syms: list, level: int) -> list:
+    """[(sizes, entries, members) of levels 0 ... level], one recursion.
 
-    One labelling pass over the level rows: each unlabelled vertex, in
-    increasing order, starts a component, grown along trivial edges forward
-    (module docstring; an involution is its own inverse), so components come
-    in order of least vertex.  boundaries[i] counts component i's moving
-    edges with a nontrivial section (a trivial edge stays inside), active
-    every nontrivial section on the level, sum_s theta(s, level).
+    A component is named by its least vertex; sizes maps each component to
+    its size, in increasing order.  entries[(j, s, fixed)] = (A, B) lists
+    the level's nontrivial sections: the components of every vertex u and
+    of syms[j](u) where syms[j]|_u is the state s, syms[j] fixing u exactly
+    when `fixed`.  members maps each component glued from more than one
+    piece to its pieces (module docstring).
     """
+    k = syms[0].k
+    letters = range(k)
+    # the states of each generator that reach the identity state: only
+    # their entries can glue pieces, so only they carry B (None otherwise)
+    gluing = []
+    for g in syms:
+        reach, more = set(), {0}
+        while more:
+            reach |= more
+            more = {s for s, row in enumerate(g.trans) if s not in reach and not reach.isdisjoint(row)}
+        gluing.append(reach)
+    entries = {
+        (j, g.initial, True): ([0], [0] if g.initial in gluing[j] else None)
+        for j, g in enumerate(syms)
+        if g.initial
+    }
+    levels = [({0: 1}, entries, {})]
+    for _ in range(level):
+        sizes, entries, _ = levels[-1]
+        pieces, glue = {}, {}
+        for (j, s, fixed), (A, B) in entries.items():
+            perm, trans = syms[j].perms[s], syms[j].trans[s]
+            for x in letters:
+                y, t = perm[x], trans[x]
+                As = [a * k + x for a in A]
+                Bs = [b * k + y for b in B] if t in gluing[j] else None
+                if t:
+                    key = (j, t, fixed and x == y)
+                    if key in pieces:
+                        pieces[key][0].extend(As)
+                        if Bs is not None:
+                            pieces[key][1].extend(Bs)
+                    else:
+                        pieces[key] = (As, Bs)
+                else:
+                    for p, q in zip(As, Bs):
+                        if p != q:
+                            glue.setdefault(p, []).append(q)
+        sizes = {c * k + x: size for c, size in sizes.items() for x in letters}
+        # a glued piece also has the inverse edge back, so the least of a
+        # glued set is met first and what it reaches forward is the set
+        root, members = {}, {}
+        for p in sorted(glue):
+            if p not in root:
+                root[p] = p
+                part = members[p] = [p]
+                for u in part:  # the list grows while it is walked
+                    for w in glue[u]:
+                        if w not in root:
+                            root[w] = p
+                            part.append(w)
+                            sizes[p] += sizes.pop(w)
+        if root:
+            pieces = {
+                key: ([root.get(p, p) for p in A], B and [root.get(q, q) for q in B])
+                for key, (A, B) in pieces.items()
+            }
+        levels.append((sizes, pieces, members))
+    return levels
+
+
+def _component(k: int, levels: list, c: int):
+    """The sorted vertices of component c of the last of `levels`.
+
+    The whole level is read off its size; any other component top down,
+    the components of each level that its pieces lie over, then bottom
+    up, a piece p holding v k + p % k for every vertex v of p // k.
+    """
+    n = len(levels) - 1
+    if levels[n][0][c] == k ** n:
+        return range(k ** n)
+    needs = [[c]]
+    for _, _, members in reversed(levels[1:]):
+        needs.append(sorted({p // k for d in needs[-1] for p in members.get(d, (d,))}))
+    verts = {0: [0]}
+    for (_, _, members), need in zip(levels[1:], reversed(needs[:-1])):
+        verts = {
+            d: sorted([v * k + p % k for p in members.get(d, (d,)) for v in verts[p // k]])
+            for d in need
+        }
+    return verts[c]
+
+
+def _level_graph(gens: Mapping[str, Automorphism], level: int, budget: int):
+    """(k, levels) of _reduced_levels, the level checked first."""
     syms = list(symmetrize(gens).values())
     k = syms[0].k
-    labelled = bytearray(_level_vertices(k, level, budget))
-    actions = [level_action(g, level) for g in syms]
-    components, boundaries, active = [], [], 0
-    for v in range(len(labelled)):
-        if labelled[v]:
-            continue
-        labelled[v] = 1
-        comp, boundary = [v], 0
-        for u in comp:  # the list grows while it is walked
-            for images, states in actions:
-                w = images[u]
-                if states[u]:
-                    active += 1
-                    boundary += w != u
-                elif not labelled[w]:
-                    labelled[w] = 1
-                    comp.append(w)
-        components.append(sorted(comp))
-        boundaries.append(boundary)
-    return k, components, boundaries, active
+    _level_vertices(k, level, budget)
+    return k, _reduced_levels(syms, level)
 
 
 def gamma_prime_components(
@@ -194,9 +287,18 @@ def gamma_prime_components(
     budget: int = 10 ** 6,
 ) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """Components of the level graph restricted to trivial-section edges."""
-    k, comps, _, _ = _reduced_graph(gens, level, budget)
+    k, levels = _level_graph(gens, level, budget)
+    labels = [0]  # the component of every vertex, level by level
+    for _, _, members in levels[1:]:
+        labels = [c * k + x for c in labels for x in range(k)]
+        if members:
+            root = {p: c for c, part in members.items() for p in part}
+            labels = [root.get(p, p) for p in labels]
+    comps = {c: [] for c in levels[-1][0]}
+    for v, c in enumerate(labels):
+        comps[c].append(v)
     verts = list(product(range(k), repeat=level))
-    return tuple(tuple(verts[u] for u in comp) for comp in comps)
+    return tuple(tuple(map(verts.__getitem__, comp)) for comp in comps.values())
 
 
 @dataclass(frozen=True)
@@ -225,6 +327,37 @@ class FolnerReport:
     components: tuple[ComponentSummary, ...]
 
 
+def _folner_report(k: int, levels: list) -> FolnerReport:
+    """The FolnerReport of the last of `levels` (_reduced_levels).
+
+    A component's boundary counts its vertices' nontrivial sections that
+    move them (a trivial edge stays inside); all nontrivial sections
+    together are sum_s theta(s, level).
+    """
+    level = len(levels) - 1
+    sizes, entries, _ = levels[level]
+    moving = Counter(chain.from_iterable(A for (_, _, fixed), (A, _) in entries.items() if not fixed))
+    names = list(sizes)
+    summaries = [
+        ComponentSummary(size, moving[c], Fraction(moving[c], size), least)
+        for (c, size), least in zip(sizes.items(), _vertices(names, k, level))
+    ]
+    order = sorted(
+        range(len(summaries)),
+        key=lambda i: (summaries[i].ratio, -summaries[i].size, summaries[i].least_vertex),
+    )
+    best = summaries[order[0]]
+    return FolnerReport(
+        level=level,
+        candidate=_vertices(_component(k, levels, names[order[0]]), k, level),
+        size=best.size,
+        boundary=best.boundary,
+        ratio=best.ratio,
+        bound=Fraction(sum(len(A) for A, _ in entries.values()), k ** level),
+        components=tuple(summaries[i] for i in order),
+    )
+
+
 def folner_candidate(
     gens: Mapping[str, Automorphism],
     level: int,
@@ -232,26 +365,7 @@ def folner_candidate(
 ) -> FolnerReport:
     if level < 1:
         raise ValueError("level must be at least 1")
-    k, comps, boundaries, active = _reduced_graph(gens, level, budget)
-    verts = list(product(range(k), repeat=level))
-    summaries = [
-        ComponentSummary(len(comp), b, Fraction(b, len(comp)), verts[comp[0]])
-        for comp, b in zip(comps, boundaries)
-    ]
-    order = sorted(
-        range(len(comps)),
-        key=lambda i: (summaries[i].ratio, -summaries[i].size, summaries[i].least_vertex),
-    )
-    best = order[0]
-    return FolnerReport(
-        level=level,
-        candidate=tuple(verts[u] for u in comps[best]),
-        size=summaries[best].size,
-        boundary=summaries[best].boundary,
-        ratio=summaries[best].ratio,
-        bound=Fraction(active, k ** level),
-        components=tuple(summaries[i] for i in order),
-    )
+    return _folner_report(*_level_graph(gens, level, budget))
 
 
 def isoperimetric_profile(
@@ -259,10 +373,13 @@ def isoperimetric_profile(
     max_level: int,
     budget: int = 10 ** 6,
 ) -> tuple[FolnerReport, ...]:
-    """Folner candidates for levels 1 through max_level."""
+    """Folner candidates for levels 1 through max_level, from one recursion."""
     if max_level < 0:
         raise ValueError("level must be nonnegative")
     if budget < 1:
         raise ValueError("budget must be at least 1")
-    _alphabet(gens)  # checked also when no level is asked for
-    return tuple(folner_candidate(gens, n, budget) for n in range(1, max_level + 1))
+    k = _alphabet(gens)  # checked also when no level is asked for
+    for n in range(1, max_level + 1):  # the first level over the budget names it
+        _level_vertices(k, n, budget)
+    k, levels = _level_graph(gens, max_level, budget)
+    return tuple(_folner_report(k, levels[: n + 1]) for n in range(1, max_level + 1))

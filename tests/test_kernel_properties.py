@@ -102,6 +102,7 @@ from treeauto.schreier import (
     SchreierGraph,
     folner_candidate,
     gamma_prime_components,
+    isoperimetric_profile,
     orbit,
     schreier_graph,
     symmetrize,
@@ -369,7 +370,7 @@ def encode(v: tuple, k: int) -> int:
 @given(triples())
 def test_level_action(drawn):
     g = compose(*drawn[1][:2])
-    for n in range(5):
+    for n in range(8):
         images, states = level_action(g, n)
         verts = words(g.k, n)
         assert images == [encode(g.apply(v), g.k) for v in verts]
@@ -471,10 +472,23 @@ def test_level_graphs_on_the_catalog(family, names):
     assert_level_graphs({n: gens[n] for n in names or gens}, range(1, 7))
 
 
+@pytest.mark.parametrize("family", sorted(builtin()))
+def test_profile_is_the_candidate_of_each_level(family):
+    # one recursion serves every level of a profile; each level on its own
+    # must read the same report
+    gens = builtin()[family].generators
+    k = next(iter(gens.values())).k
+    n = 8 if k == 2 else 6
+    assert isoperimetric_profile(gens, n) == tuple(folner_candidate(gens, m) for m in range(1, n + 1))
+
+
 @PROPERTIES
 @given(pairs())
 def test_level_graphs_on_drawn_pairs(gens):
-    assert_level_graphs(gens, range(1, 4))
+    # a single generator splits levels into many components, with fixed
+    # vertices carrying nontrivial sections
+    assert_level_graphs(gens, range(1, 7))
+    assert_level_graphs({"a": gens["a"]}, range(1, 7))
 
 
 # -- orbits, swept and walked ---------------------------------------------------

@@ -151,8 +151,41 @@ def test_orbit_on_a_deep_level_walks_only_the_orbit(monkeypatch):
 
 def test_deep_level_is_refused_before_any_sweep(monkeypatch):
     monkeypatch.setattr(schreier, "level_action", _no_level_sweep)
+    monkeypatch.setattr(schreier, "_reduced_levels", lambda *args: pytest.fail("recursion run"))
     with pytest.raises(BudgetExceeded, match="level 40 has"):
         folner_candidate(entry("grigorchuk").generators, 40)
+
+
+def test_level_graphs_sweep_no_level(monkeypatch):
+    # components, candidates and profiles are read off the generators'
+    # tables from the root down, never off whole-level rows
+    monkeypatch.setattr(schreier, "level_action", _no_level_sweep)
+    gens = entry("grigorchuk").generators
+    assert len(gamma_prime_components(gens, 6)) == 1
+    assert folner_candidate(gens, 6).size == 2 ** 6
+    assert [rep.level for rep in isoperimetric_profile(gens, 6)] == [1, 2, 3, 4, 5, 6]
+
+
+def test_a_profile_runs_one_recursion(monkeypatch):
+    calls = []
+    recursion = schreier._reduced_levels
+
+    def counted(syms, level):
+        calls.append(level)
+        return recursion(syms, level)
+
+    monkeypatch.setattr(schreier, "_reduced_levels", counted)
+    gens = entry("basilica").generators
+    profile = isoperimetric_profile(gens, 8)
+    assert calls == [8]
+    assert profile == tuple(folner_candidate(gens, n) for n in range(1, 9))
+
+
+def test_a_profile_over_the_budget_names_its_first_level(monkeypatch):
+    monkeypatch.setattr(schreier, "_reduced_levels", lambda *args: pytest.fail("recursion run"))
+    with pytest.raises(BudgetExceeded, match="level 7 has 128 vertices") as info:
+        isoperimetric_profile(entry("grigorchuk").generators, 10, budget=100)
+    assert (info.value.spent, info.value.limit) == (128, 100)
 
 
 def test_negative_level_is_refused_before_any_sweep(monkeypatch):
