@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional
 
-from .core import Automorphism, BoundaryPoint, compose, invert
+from .core import Automorphism, BoundaryPoint, _alphabet, compose, invert
 
 
 def theta(g: Automorphism, n: int) -> int:
@@ -64,7 +64,7 @@ def theta_relative(
 
     if n < 0:
         raise ValueError("level must be nonnegative")
-    if any(h.k != g.k for h in gens.values()):
+    if _alphabet(gens) != g.k:
         raise ValueError("g and the generators act on different alphabets")
     keys = _orbit(gens, seed.prefix(n), budget)[3]
     if len(keys) == g.k ** n:

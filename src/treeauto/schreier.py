@@ -31,12 +31,23 @@ touched only to list a component.  A component is named by its least
 vertex: the piece C x has least vertex (least C) k + x, so pieces met in
 order of their names are met in order of least vertex.
 
-Orbits come from core.level_action: a state s acts on level n by
-pi_s(x k^(n-1) + w) = pi_s(x) k^(n-1) + pi_{s|x}(w), one sweep per level.
-Orbits use the sweep when the whole level fits the vertex budget
-(k ** n <= budget), even a small orbit, and search over those integers; a
-level over the budget is walked vertex by vertex from the start, the only
-way a small orbit on a deep level can be found.
+Orbits are read off the same recursion.  An orbit is closed under the
+generators, so the graph of level m + 1 over O x (O the orbit of v's
+length-m prefix, x any letter) needs nothing outside it: its trivial
+edges join the vertices of one component, and every other edge is a
+nontrivial section, listed with the components at both of its ends.  On a
+level that fits the vertex budget (k ** n <= budget) every level keeps
+only the components that nontrivial sections join to the prefix's; the
+orbit is the whole level when their sizes sum to k^n, and otherwise those
+components expanded top down.  A level costs the orbit's components and
+its nontrivial sections, not its vertices: a bounded number per level in
+the bounded groups, but one component per vertex where every section is
+nontrivial (Aleshin), the cost of a Folner candidate there.  Whole-level
+rows come from core.level_action, one sweep per level; schreier_graph
+reads them only for an orbit that is the whole level, all of whose edges
+it lists, and walks a smaller orbit vertex by vertex.  A level over the
+budget is walked vertex by vertex from the start, the only way a small
+orbit on a deep level can be found.
 """
 
 from __future__ import annotations
@@ -57,13 +68,14 @@ def symmetrize(gens: Mapping[str, Automorphism]) -> dict[str, Automorphism]:
 
 
 def _orbit(gens: Mapping[str, Automorphism], v, budget: int):
-    """(labels, k, n, keys, rows) of the orbit of the level-n vertex v.
+    """(syms, k, n, keys, rows) of the orbit of the level-n vertex v.
 
-    keys is the sorted orbit and rows[j] the pair (images, states) of the
-    j-th symmetrized generator, both indexed by key.  On a level that fits
-    the budget the keys are base-k integers and rows the level actions; on
-    a larger level the keys are vertex tuples and rows dicts of what the
-    walk read.
+    syms is symmetrize(gens) and keys the sorted orbit.  On a level that
+    fits the budget the keys are base-k integers read off the reduced
+    levels of v's prefixes (range(k ** n) for the whole level) and rows is
+    None; on a larger level the keys are vertex tuples and rows[j] maps
+    each to (image, state) under the j-th symmetrized generator, as the
+    walk read them.
     """
     if budget < 0:  # the start vertex is never charged
         raise ValueError("budget must be nonnegative")
@@ -72,28 +84,14 @@ def _orbit(gens: Mapping[str, Automorphism], v, budget: int):
     start = values[0]._vertex(v)
     k, n = values[0].k, len(start)
     if k ** n <= budget:  # the orbit fits whatever it turns out to be
-        rows = [level_action(g, n) for g in values]
-        first = 0
-        for x in start:
-            first = first * k + x
-        seen = bytearray(k ** n)
-        seen[first] = 1
-        queue = [first]
-        for u in queue:  # the list grows while it is walked
-            for images, _ in rows:
-                w = images[u]
-                if not seen[w]:
-                    seen[w] = 1
-                    queue.append(w)
-        keys = sorted(queue) if len(queue) < k ** n else list(range(k ** n))
-        return tuple(syms), k, n, keys, rows
-    rows = [({}, {}) for _ in values]
+        levels = _reduced_levels(values, n, start)
+        return syms, k, n, _component(k, levels, list(levels[n][0])), None
+    rows = [{} for _ in values]
     seen = {start}
     queue = [start]
     for u in queue:
-        for g, (images, states) in zip(values, rows):
-            w, s = g._walk(u)
-            images[u], states[u] = w, s
+        for g, row in zip(values, rows):
+            w, _ = row[u] = g._walk(u)
             if w not in seen:
                 if len(seen) >= budget:
                     raise BudgetExceeded(
@@ -103,7 +101,7 @@ def _orbit(gens: Mapping[str, Automorphism], v, budget: int):
                     )
                 seen.add(w)
                 queue.append(w)
-    return tuple(syms), k, n, sorted(seen), rows
+    return syms, k, n, sorted(seen), rows
 
 
 def _vertices(keys: list, k: int, n: int) -> tuple[tuple[int, ...], ...]:
@@ -149,23 +147,27 @@ def schreier_graph(
     v,
     budget: int = 10 ** 6,
 ) -> SchreierGraph:
-    labels, k, n, keys, rows = _orbit(gens, v, budget)
-    if len(keys) == k ** n and isinstance(rows[0][0], list):
-        # a whole swept level: each key is its own index, so the edges are
-        # the label columns interleaved
+    syms, k, n, keys, rows = _orbit(gens, v, budget)
+    verts = _vertices(keys, k, n)
+    if rows is None and len(keys) == k ** n:
+        # the whole level: each key is its own index, so the edges are the
+        # label columns of the level actions interleaved
         columns = [
             zip(keys, repeat(j), images, list(map(not_, states)))
-            for j, (images, states) in enumerate(rows)
+            for j, (images, states) in enumerate(level_action(g, n) for g in syms.values())
         ]
         edges = tuple(chain.from_iterable(zip(*columns)))
     else:
-        index = {u: i for i, u in enumerate(keys)}
+        if rows is None:  # a smaller orbit of a level that fits: walk its vertices
+            rows = [dict(zip(verts, map(g._walk, verts))) for g in syms.values()]
+        index = {u: i for i, u in enumerate(verts)}
         edges = tuple(
-            (i, j, index[images[u]], states[u] == 0)
-            for i, u in enumerate(keys)
-            for j, (images, states) in enumerate(rows)
+            (i, j, index[w], s == 0)
+            for i, u in enumerate(verts)
+            for j, row in enumerate(rows)
+            for w, s in (row[u],)
         )
-    return SchreierGraph(n, labels, _vertices(keys, k, n), edges)
+    return SchreierGraph(n, tuple(syms), verts, edges)
 
 
 def _level_vertices(k: int, level: int, budget: int) -> None:
@@ -180,7 +182,7 @@ def _level_vertices(k: int, level: int, budget: int) -> None:
         )
 
 
-def _reduced_levels(syms: list, level: int) -> list:
+def _reduced_levels(syms: list, level: int, start=None) -> list:
     """[(sizes, entries, members) of levels 0 ... level], one recursion.
 
     A component is named by its least vertex; sizes maps each component to
@@ -189,25 +191,34 @@ def _reduced_levels(syms: list, level: int) -> list:
     of syms[j](u) where syms[j]|_u is the state s, syms[j] fixing u exactly
     when `fixed`.  members maps each component glued from more than one
     piece to its pieces (module docstring).
+
+    Given a level-`level` vertex `start`, every level keeps only the orbit
+    of start's prefix: the components its nontrivial sections join to the
+    prefix's (_restricted).  An orbit is closed under the generators, so
+    the next level, built over it alone, needs nothing outside it.
     """
     k = syms[0].k
     letters = range(k)
-    # the states of each generator that reach the identity state: only
-    # their entries can glue pieces, so only they carry B (None otherwise)
-    gluing = []
-    for g in syms:
-        reach, more = set(), {0}
-        while more:
-            reach |= more
-            more = {s for s, row in enumerate(g.trans) if s not in reach and not reach.isdisjoint(row)}
-        gluing.append(reach)
+    if start is not None:  # any nontrivial section may join two components of an orbit
+        gluing = [range(len(g.perms)) for g in syms]
+    else:
+        # the states of each generator that reach the identity state: only
+        # their entries can glue pieces, so only they carry B (None otherwise)
+        gluing = []
+        for g in syms:
+            reach, more = set(), {0}
+            while more:
+                reach |= more
+                more = {s for s, row in enumerate(g.trans) if s not in reach and not reach.isdisjoint(row)}
+            gluing.append(reach)
     entries = {
         (j, g.initial, True): ([0], [0] if g.initial in gluing[j] else None)
         for j, g in enumerate(syms)
         if g.initial
     }
     levels = [({0: 1}, entries, {})]
-    for _ in range(level):
+    here = 0  # the component of start's prefix
+    for m in range(level):
         sizes, entries, _ = levels[-1]
         pieces, glue = {}, {}
         for (j, s, fixed), (A, B) in entries.items():
@@ -247,30 +258,68 @@ def _reduced_levels(syms: list, level: int) -> list:
                 key: ([root.get(p, p) for p in A], B and [root.get(q, q) for q in B])
                 for key, (A, B) in pieces.items()
             }
+        if start is not None:
+            here = here * k + start[m]
+            here = root.get(here, here)
+            if len(sizes) > 1:
+                sizes, pieces, members = _restricted(here, sizes, pieces, members)
         levels.append((sizes, pieces, members))
     return levels
 
 
-def _component(k: int, levels: list, c: int):
-    """The sorted vertices of component c of the last of `levels`.
+def _restricted(c: int, sizes: dict, entries: dict, members: dict):
+    """(sizes, entries, members) of one level kept to the orbit of the
+    vertices of component c: the components that nontrivial sections join
+    to it.  Trivial edges stay inside a component, so every other edge of
+    the level is an entry's pair (a, b)."""
+    joins = {}
+    for A, B in entries.values():
+        for a, b in zip(A, B):
+            if a != b:
+                joins.setdefault(a, []).append(b)
+    orbit = {c}
+    queue = [c]
+    for a in queue:  # the list grows while it is walked
+        for b in joins.get(a, ()):
+            if b not in orbit:
+                orbit.add(b)
+                queue.append(b)
+    if len(orbit) == len(sizes):
+        return sizes, entries, members
+    # a is in the orbit exactly when b is, so the filtered ends stay paired
+    kept = {}
+    for key, (A, B) in entries.items():
+        As = [a for a in A if a in orbit]
+        if As:
+            kept[key] = (As, [b for b in B if b in orbit])
+    return (
+        {d: size for d, size in sizes.items() if d in orbit},
+        kept,
+        {d: part for d, part in members.items() if d in orbit},
+    )
 
-    The whole level is read off its size; any other component top down,
-    the components of each level that its pieces lie over, then bottom
-    up, a piece p holding v k + p % k for every vertex v of p // k.
+
+def _component(k: int, levels: list, comps: list):
+    """The sorted vertices of components comps of the last of `levels`.
+
+    A whole level is read off its size; anything else top down, the
+    components of each level that its pieces lie over, then bottom up, a
+    piece p holding v k + p % k for every vertex v of p // k.
     """
     n = len(levels) - 1
-    if levels[n][0][c] == k ** n:
+    sizes = levels[n][0]
+    if sum(sizes[c] for c in comps) == k ** n:
         return range(k ** n)
-    needs = [[c]]
+    needs = [comps]
     for _, _, members in reversed(levels[1:]):
-        needs.append(sorted({p // k for d in needs[-1] for p in members.get(d, (d,))}))
+        needs.append({p // k for d in needs[-1] for p in members.get(d, (d,))})
     verts = {0: [0]}
     for (_, _, members), need in zip(levels[1:], reversed(needs[:-1])):
         verts = {
-            d: sorted([v * k + p % k for p in members.get(d, (d,)) for v in verts[p // k]])
+            d: [v * k + p % k for p in members.get(d, (d,)) for v in verts[p // k]]
             for d in need
         }
-    return verts[c]
+    return sorted(chain.from_iterable(verts[c] for c in comps))
 
 
 def _level_graph(gens: Mapping[str, Automorphism], level: int, budget: int):
@@ -349,7 +398,7 @@ def _folner_report(k: int, levels: list) -> FolnerReport:
     best = summaries[order[0]]
     return FolnerReport(
         level=level,
-        candidate=_vertices(_component(k, levels, names[order[0]]), k, level),
+        candidate=_vertices(_component(k, levels, [names[order[0]]]), k, level),
         size=best.size,
         boundary=best.boundary,
         ratio=best.ratio,

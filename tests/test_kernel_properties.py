@@ -522,11 +522,17 @@ def assert_orbits_on_both_paths(gens, g, levels):
             want = (verts, brute_schreier(gens, v), brute_theta_relative(gens, g, v))
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(schreier, "level_action", lambda h, m: swept.append(m) or sweep(h, m))
-                # the default budget and the least budget the level fits both sweep
+                # under the default budget and the least budget the level
+                # fits, orbits are read off the level recursion; only the
+                # graph of a whole level reads the level actions, one per label
+                whole = [n] * len(symmetrize(gens)) if len(verts) == k ** n else []
                 for budget in (10 ** 6, k ** n):
                     swept.clear()
-                    assert orbit_results(gens, g, ray, n, budget) == want
-                    assert swept and set(swept) == {n}
+                    assert orbit(gens, v, budget) == verts
+                    assert theta_relative(gens, g, ray, n, budget) == want[2]
+                    assert swept == []
+                    assert schreier_graph(gens, v, budget) == want[1]
+                    assert swept == whole
                 patch.setattr(schreier, "level_action", no_level_sweep)
                 # one vertex short of the level walks; the start vertex is never charged
                 if len(verts) < k ** n or n == 0:

@@ -6,7 +6,7 @@ from treeauto.activity import theta, theta_relative
 from treeauto import schreier
 from treeauto.catalog import entry
 from treeauto.cli import main
-from treeauto.core import Automorphism, BoundaryPoint, BudgetExceeded
+from treeauto.core import Automorphism, BoundaryPoint, BudgetExceeded, evaluate_word
 from treeauto.schreier import (
     folner_candidate,
     gamma_prime_components,
@@ -166,18 +166,25 @@ def test_level_graphs_sweep_no_level(monkeypatch):
     assert [rep.level for rep in isoperimetric_profile(gens, 6)] == [1, 2, 3, 4, 5, 6]
 
 
-def test_a_profile_runs_one_recursion(monkeypatch):
+def _counted_recursions(monkeypatch) -> list:
+    """The levels of a list of _reduced_levels calls, each with its result."""
     calls = []
     recursion = schreier._reduced_levels
 
-    def counted(syms, level):
-        calls.append(level)
-        return recursion(syms, level)
+    def counted(syms, level, *start):
+        levels = recursion(syms, level, *start)
+        calls.append((level, levels))
+        return levels
 
     monkeypatch.setattr(schreier, "_reduced_levels", counted)
+    return calls
+
+
+def test_a_profile_runs_one_recursion(monkeypatch):
+    calls = _counted_recursions(monkeypatch)
     gens = entry("basilica").generators
     profile = isoperimetric_profile(gens, 8)
-    assert calls == [8]
+    assert [level for level, _ in calls] == [8]
     assert profile == tuple(folner_candidate(gens, n) for n in range(1, 9))
 
 
@@ -199,13 +206,41 @@ def test_negative_level_is_refused_before_any_sweep(monkeypatch):
 
 
 def test_theta_relative_checks_alphabets_before_any_orbit_work(monkeypatch):
-    # a ternary g read against binary level rows would count the wrong vertices
+    # a ternary g read against a binary orbit would count the wrong vertices
     monkeypatch.setattr(schreier, "level_action", _no_level_sweep)
     monkeypatch.setattr(schreier, "orbit", lambda *args, **kwargs: pytest.fail("orbit called"))
+    monkeypatch.setattr(schreier, "_reduced_levels", lambda *args: pytest.fail("recursion run"))
     gens = entry("grigorchuk").generators
     ternary = entry("gupta_sidki_3").generators["a"]
-    with pytest.raises(ValueError, match="g and the generators act on different alphabets"):
+    with pytest.raises(ValueError, match="^g and the generators act on different alphabets$"):
         theta_relative(gens, ternary, BoundaryPoint.parse(":0"), 3)
+    # generators on mixed alphabets are their own fault, whatever g is
+    mixed = {"a": gens["a"], "t": ternary}
+    for g in (gens["a"], ternary):
+        with pytest.raises(ValueError, match="^generators act on different alphabets$"):
+            theta_relative(mixed, g, BoundaryPoint.parse(":0"), 3)
+
+
+def test_a_small_orbit_on_a_level_that_fits_is_read_off_the_recursion(monkeypatch):
+    # 2^19 vertices fit the default budget; the orbit has one, and every
+    # level of the recursion keeps only the component of the prefix (the
+    # two pieces below it are built, the one off the orbit dropped)
+    monkeypatch.setattr(schreier, "level_action", _no_level_sweep)
+    calls = _counted_recursions(monkeypatch)
+    b = {"b": entry("grigorchuk").generators["b"]}
+    assert orbit(b, (1,) * 19) == ((1,) * 19,)
+    [(level, levels)] = calls
+    assert level == 19
+    assert [sizes for sizes, _, _ in levels] == [{2 ** m - 1: 1} for m in range(20)]
+
+
+def test_theta_relative_on_a_one_orbit_level_runs_one_recursion(monkeypatch):
+    monkeypatch.setattr(schreier, "level_action", _no_level_sweep)
+    calls = _counted_recursions(monkeypatch)
+    gens = entry("grigorchuk").generators
+    g = evaluate_word(gens, "a b a c")
+    assert theta_relative(gens, g, BoundaryPoint.parse(":0"), 12) == theta(g, 12)
+    assert [level for level, _ in calls] == [12]
 
 
 @pytest.fixture
