@@ -33,7 +33,7 @@ from .core import (
     evaluate_word,
 )
 from .machine_io import MachineParseError, dump_machine, parse_machine_file
-from .nucleus import _germ_group_in, _stabilizer, ball, germ_group, is_self_similar, nucleus
+from .nucleus import _germ_group_in, _stabilizers, germ_group, is_self_similar, nucleus
 
 
 class _Parser(argparse.ArgumentParser):
@@ -237,12 +237,11 @@ def _cmd_trichotomy(args) -> int:
     gens = _load_gens(args)
     relations = find_relations(gens, args.max_len, budget=args.budget)
     profile = isoperimetric_profile(gens, args.levels, budget=args.budget)
+    rays = [BoundaryPoint.parse(text) for text in args.point or []]
+    # one walk of the ball serves every point, and no point needs no walk
+    stabs = _stabilizers(gens, args.max_len, args.budget, rays)[0] if rays else []
     points = []
-    if args.point:  # the ball does not depend on the point
-        elements, _ = ball(gens, args.max_len, budget=args.budget)
-    for text in args.point or []:
-        p = BoundaryPoint.parse(text)
-        stab = _stabilizer(elements, p)
+    for p, stab in zip(rays, stabs):
         germs = _germ_group_in(stab, p)
         probe = _faithfulness_probe_in(stab, p, args.max_len)
         points.append(

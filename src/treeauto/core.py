@@ -41,7 +41,13 @@ one product, whatever the other starts added to the walk.  compose reads
 its one product off a walk with a single start (_product).  The ball
 takes one walk per layer (_reduced_words), the relator search one per
 half-length, the nucleus closure one per batch of rows of its members'
-machine.
+machine.  Like the relator search and the closure, the ball's walk also
+starts from one seed (b, 0) per value it already holds, and (b, 0)
+behaves as b: a child in the block of a seed, or of an earlier child, is
+a value met before, known without reading it off.  So a layer reads
+nothing for the children it merges, and hands its consumers a block and
+the quotient rows for each new value; ball reads every one of them off,
+the ray stabilizers only those that fix the ray.
 
 Every value that needs minimizing comes from that walk; sections and
 inverses need only the renumbering above.  Sections, inverses and
@@ -322,21 +328,10 @@ class Automorphism:
         return self._with_initial(self.state_at(v))
 
     def _ray(self, w: BoundaryPoint) -> tuple[list, list, int]:
-        """(g(w)'s letters, sweep starts, c) from one walk of the ray w: letters up to
-        the first period sweep that would start in a state met before, the states
-        the sweeps start in (g's sections there) in order; they repeat from starts[c]."""
+        """_ray_walk of g's own tables from its initial state, the letters of
+        the ray checked against the alphabet."""
         self._vertex(w.preperiod + w.period)
-        perms, trans, s, out = self.perms, self.trans, self.initial, []
-        for x in w.preperiod:
-            out.append(perms[s][x])
-            s = trans[s][x]
-        starts = {}  # state -> its sweep index; at most state_count sweeps
-        while s not in starts:
-            starts[s] = len(starts)
-            for x in w.period:
-                out.append(perms[s][x])
-                s = trans[s][x]
-        return out, list(starts), starts[s]
+        return _ray_walk(self.perms, self.trans, self.initial, w)
 
     def apply_boundary(self, w: BoundaryPoint) -> BoundaryPoint:
         """The image of an eventually periodic ray, again in canonical form."""
@@ -370,6 +365,24 @@ class Automorphism:
             if n:  # square only while bits remain
                 base = compose(base, base)
         return result
+
+
+def _ray_walk(perms, trans, s: int, w: BoundaryPoint) -> tuple[list, list, int]:
+    """(letters, sweep starts, c) from one walk of the ray w from state s of a
+    machine's tables: the image's letters up to the first period sweep that
+    would start in a state met before, the states the sweeps start in (the
+    sections there) in order; they repeat from starts[c]."""
+    out = []
+    for x in w.preperiod:
+        out.append(perms[s][x])
+        s = trans[s][x]
+    starts = {}  # state -> its sweep index; at most one sweep per state
+    while s not in starts:
+        starts[s] = len(starts)
+        for x in w.period:
+            out.append(perms[s][x])
+            s = trans[s][x]
+    return out, list(starts), starts[s]
 
 
 def identity(k: int) -> Automorphism:
@@ -626,19 +639,22 @@ def evaluate_word(gens: Mapping[str, Automorphism], word: Union[Word, str]) -> A
     return result
 
 
-def _reduced_words(letters, max_len: int, elements: dict):
-    """Walk reduced words over `letters` in length order, up to max_len.
+def _reduced_words(letters, max_len: int):
+    """Walk reduced words over `letters` in length order, up to max_len, and
+    yield (word, block, rows) for each word whose value is new.
 
     Words grow by one letter on the right, skipping the letter that cancels
-    the last one.  Yields (word, value, known) per word, known being the
-    word already stored for value in `elements`, or None; the caller's map
-    is seeded with the identity and then gains every new value with its
-    word, so each stored word is the first, hence a shortest, word for its
-    value.  Stops early at a length that stores nothing.  A layer is one
-    _pair_quotient walk of the last layer's quotient with the letters, from
-    each child's (prefix block, letter): at most len(letters) starts per
-    stored element.  A block's value is read off the layer's quotient
-    rows, which are the next layer's left machine, when first reached.
+    the last one, so each word yielded is the first, hence a shortest, word
+    for its value.  Stops early at a length that adds nothing.  A layer is
+    one _pair_quotient walk of the last layer's quotient with the letters,
+    from each child's (prefix block, letter), at most len(letters) starts
+    per element new in the last layer, and then one seed (b, 0) per element
+    met so far, the identity first.  In one walk a block is a value, so a
+    child whose block a seed or an earlier child holds is known, with no
+    value read off and no value hashed.  rows are the layer's quotient
+    rows, one per block, which are the next layer's left machine; a new
+    element's value is _renumbered(k, *rows, block), read off only by a
+    consumer that needs it.
     """
     k = letters[0][1].k
     hperms, htrans, hstarts = _right_machine([g for _, g in letters])
@@ -646,30 +662,29 @@ def _reduced_words(letters, max_len: int, elements: dict):
     after = {(): range(len(letters))}
     for (name, sign), _ in letters:
         after[((name, sign),)] = [i for i, (letter, _) in enumerate(letters) if letter != (name, -sign)]
-    elements[Automorphism.identity(k)] = Word(())
-    gperms, gtrans = [tuple(range(k))], [(0,) * k]  # layer 0's quotient: the identity row
-    layer = [(Word(()), 0)]  # (word, block) of each new element of the last layer
+    rows = [tuple(range(k))], [(0,) * k]  # layer 0's quotient: the identity row
+    met = [0]  # the block of every element met so far, in the order met
+    layer = [((), 0)]  # (letters, block) of each new element of the last layer
     for _ in range(max_len):
-        children = [(word, b, i) for word, b in layer for i in after[word.letters[-1:]]]
-        starts = [(b, hstarts[i]) for _, b, i in children]
-        perms, cols, ids, firsts = _pair_quotient(gperms, gtrans, hperms, htrans, starts)
-        gperms, gtrans = _quotient_rows(perms, cols, ids)
-        values: dict = {}  # block -> its value
-        nxt = []
+        children = [(word, b, i) for word, b in layer for i in after[word[-1:]]]
+        starts = [(b, hstarts[i]) for _, b, i in children] + [(b, 0) for b in met]
+        perms, cols, ids, firsts = _pair_quotient(*rows, hperms, htrans, starts)
+        rows = _quotient_rows(perms, cols, ids)
+        met = [ids[f] for f in firsts[len(children) :]]
+        held = bytearray(len(rows[0]))  # 1 for a block of a known element
+        for b in met:
+            held[b] = 1
+        layer = []
         for (word, _, i), f in zip(children, firsts):
             b = ids[f]
-            value = values.get(b)
-            if value is None:
-                value = values[b] = _renumbered(k, gperms, gtrans, b)
-            child = Word(word.letters + (letters[i][0],))
-            known = elements.get(value)
-            yield child, value, known
-            if known is None:
-                elements[value] = child
-                nxt.append((child, b))
-        if not nxt:
+            if not held[b]:
+                held[b] = 1
+                met.append(b)
+                child = word + (letters[i][0],)
+                layer.append((child, b))
+                yield Word._reduced(child), b, rows
+        if not layer:
             return
-        layer = nxt
 
 
 # keys are actions on the deepest level with at most this many vertices,
@@ -678,7 +693,8 @@ _KEY_POINTS = 256
 
 
 def _distinct_words(letters, max_len: int):
-    """(word, known) in the order of _reduced_words(letters, max_len, {}),
+    """(word, known) for every reduced word over `letters` in the order of
+    _reduced_words, known being the first word with the same value or None,
     composing only on a repeated key.
 
     A word's key is its inverse's action on level L, the deepest level
@@ -711,7 +727,7 @@ def _distinct_words(letters, max_len: int):
             for (name, sign), table in steps:
                 if word.letters[-1:] == ((name, -sign),):
                     continue
-                child = Word(word.letters + ((name, sign),))
+                child = Word._reduced(word.letters + ((name, sign),))
                 child_key = key.translate(table)
                 h = hash(child_key)
                 entry = seen.get(h)

@@ -48,8 +48,9 @@ report lists every relator up to length 2j, j the last half-length
 finished.  free_subgroup_certificate
 counts words reached, which equalled its compositions when it composed
 once per word.
-stabilizer_search and germ_faithfulness_probe hand their budget to ball,
-which counts distinct elements.
+stabilizer_search and germ_faithfulness_probe hand their budget to the
+walk of ball's words that reads off only the elements fixing the ray
+(nucleus._stabilizers); it counts distinct elements as ball does.
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ from .core import (
     invert,
     symmetric_letters,
 )
-from .nucleus import _stabilizer, ball
+from .nucleus import _stabilizers
 from .words import Word, commutator
 
 WordLike = Union[str, Word]
@@ -236,8 +237,8 @@ def stabilizer_search(
     max_len: int,
     budget: int = 100000,
 ) -> StabilizerSample:
-    elements, closed = ball(gens, max_len, budget)
-    hits = _stabilizer(elements, point)[1:]  # the ball's identity comes first
+    [stab], closed = _stabilizers(gens, max_len, budget, [point])
+    hits = stab[1:]  # the ball's identity comes first
     return StabilizerSample(
         point=point,
         max_len=max_len,
@@ -270,11 +271,12 @@ def germ_faithfulness_probe(
     max_len: int = 4,
     budget: int = 100000,
 ) -> FaithfulnessProbe:
-    return _faithfulness_probe_in(_stabilizer(ball(gens, max_len, budget)[0], point), point, max_len)
+    [stab], _ = _stabilizers(gens, max_len, budget, [point])
+    return _faithfulness_probe_in(stab, point, max_len)
 
 
 def _faithfulness_probe_in(stab: list, point: BoundaryPoint, max_len: int) -> FaithfulnessProbe:
-    """germ_faithfulness_probe over the _stabilizer list of a ball that is already enumerated."""
+    """germ_faithfulness_probe over one nucleus._stabilizers list."""
     hits = stab[1:]  # the ball's identity comes first
     elems = [elem for _, elem, _ in hits]
 

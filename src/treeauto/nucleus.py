@@ -29,12 +29,18 @@ the same order, and iterated.  Which new members come first in those
 iterations, which follow the values' hashes and not their state
 numbers, decides which of them make up an exceeded partial set.
 
-ball and the self-similarity check read one budgeted walk of reduced
-words (_ball_walk), one pair walk per layer.  ball drains it;
-is_self_similar stops as soon as every first-level section of every
-generator has its first word, so a "yes" costs the layers and values up
-to its last witness, while "no" and "inconclusive" still need the whole
-ball.  The budget counts the distinct elements the walk has reached.
+ball, the self-similarity check and the ray stabilizers read one walk
+of reduced words (core._reduced_words), one pair walk per layer, which
+hands over a block and its layer's quotient rows for each new element.
+ball and the self-similarity check take the values through _ball_walk,
+which reads every one of them off.  ball drains it; is_self_similar
+stops as soon as every first-level section of every generator has its
+first word, so a "yes" costs the layers and values up to its last
+witness, while "no" and "inconclusive" still need the whole ball.  The
+stabilizers of germ_group, stabilizer_search, germ_faithfulness_probe
+and the trichotomy command (_stabilizers) walk each ray on the rows from
+the element's block and read off only the elements that fix it.  The
+budget counts the distinct elements the walk has reached.
 
 Germs at a ray w are keyed (_germ): one walk of w gives g's states at the
 starts of the period sweeps, and for g fixing w their cycle, rotated so the
@@ -57,6 +63,7 @@ from .core import (
     _alphabet,
     _pair_quotient,
     _quotient_rows,
+    _ray_walk,
     _reduced_words,
     _renumbered,
     _right_machine,
@@ -232,20 +239,30 @@ def _ball_walk(gens: Mapping[str, Automorphism], max_len: int, budget: int, elem
     The word yielded is the one ball stores; a value reaches `elements`
     only once the consumer asks for the next one.
     """
+    letters = _ball_letters(gens, max_len, budget)
+    k = letters[0][1].k
+    value, word = identity(k), Word(())
+    yield value, word
+    elements[value] = word
+    for word, b, rows in _reduced_words(letters, max_len):
+        if len(elements) >= budget:
+            raise BudgetExceeded(
+                "ball budget of %d elements exhausted" % budget,
+                partial=elements, budget="ball", spent=len(elements) + 1, limit=budget,
+            )
+        value = _renumbered(k, *rows, b)
+        yield value, word
+        elements[value] = word
+
+
+def _ball_letters(gens: Mapping[str, Automorphism], max_len: int, budget: int) -> list:
+    """symmetric_letters(gens), once max_len and budget are checked as ball checks them."""
     letters = symmetric_letters(gens)
     if max_len < 0:
         raise ValueError("max_len must be nonnegative")
     if budget < 1:
         raise ValueError("budget must be at least 1")
-    yield identity(letters[0][1].k), Word(())
-    for word, value, known in _reduced_words(letters, max_len, elements):
-        if known is None:
-            if len(elements) >= budget:
-                raise BudgetExceeded(
-                    "ball budget of %d elements exhausted" % budget,
-                    partial=elements, budget="ball", spent=len(elements) + 1, limit=budget,
-                )
-            yield value, word
+    return letters
 
 
 # -- self-similarity -----------------------------------------------------------
@@ -304,7 +321,12 @@ def is_self_similar(
 
 def _germ(g: Automorphism, point: BoundaryPoint) -> Optional[tuple[int, ...]]:
     """None when g moves the ray, else g's germ key there (module docstring)."""
-    out, starts, c = g._ray(point)
+    return _germ_of(*g._ray(point), point)
+
+
+def _germ_of(out: list, starts: list, c: int, point: BoundaryPoint) -> Optional[tuple[int, ...]]:
+    """_germ from one walk of the ray: None when its letters leave the ray,
+    else the key, in the numbering of the tables walked."""
     if out != list(point.preperiod + point.period * len(starts)):
         return None
     n = len(starts) - c  # the state at sweep j >= c is starts[c + (j - c) % n]
@@ -357,17 +379,41 @@ def germ_group(
 ) -> GermGroupReport:
     if max_order < 1:
         raise ValueError("max_order must be at least 1")
-    return _germ_group_in(_stabilizer(ball(gens, max_len, budget)[0], point), point, max_order)
+    [stab], _ = _stabilizers(gens, max_len, budget, [point])
+    return _germ_group_in(stab, point, max_order)
 
 
-def _stabilizer(elements, point: BoundaryPoint) -> list:
-    """(word, element, germ key) of the ball elements fixing the ray, in ball
-    order: by length, then letter by letter in symmetric_letters order."""
-    return [(w, g, germ) for g, w in elements.items() if (germ := _germ(g, point)) is not None]
+def _stabilizers(gens: Mapping[str, Automorphism], max_len: int, budget: int, points) -> tuple[list, bool]:
+    """For each point, the (word, element, germ key) of the elements of
+    ball(gens, max_len, budget) that fix it, in ball order (by length, then
+    letter by letter in symmetric_letters order), and ball's closed flag.
+
+    One walk of the ball's words serves every point: each new element's
+    ray is walked on the quotient rows from its block, and a value is read
+    off only for an element that fixes some point.  Past the budget this
+    raises what ball raises, the same partial map included.
+    """
+    letters = _ball_letters(gens, max_len, budget)
+    k = letters[0][1].k
+    e = identity(k)
+    stabs = [[(Word(()), e, _germ(e, p))] for p in points]  # checks the points' letters
+    size, longest = 1, 0  # the elements met, the identity first, and their longest word
+    for word, b, (perms, trans) in _reduced_words(letters, max_len):
+        if size >= budget:  # raises as ball does, with the partial map of the values it read
+            ball(gens, max_len, budget)
+        size += 1
+        longest = len(word)
+        value = None
+        for p, stab in zip(points, stabs):
+            if _germ_of(*_ray_walk(perms, trans, b, p), p) is not None:
+                if value is None:
+                    value = _renumbered(k, perms, trans, b)
+                stab.append((word, value, _germ(value, p)))
+    return stabs, longest < max_len
 
 
 def _germ_group_in(stab: list, point: BoundaryPoint, max_order: int = 64) -> GermGroupReport:
-    """germ_group over the _stabilizer list of a ball that is already enumerated."""
+    """germ_group over one _stabilizers list."""
     stab = sorted(stab, key=lambda p: (len(p[0].letters), p[0].letters))
     classes: dict[tuple[Automorphism, ...], int] = {}  # germ key read as values -> class
     reps: list[tuple[Word, Automorphism]] = []  # a new class is represented by word()

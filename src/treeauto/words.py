@@ -35,6 +35,14 @@ class Word:
         self.letters: tuple[Letter, ...] = _reduce(letters)
 
     @classmethod
+    def _reduced(cls, letters: tuple[Letter, ...]) -> "Word":
+        """The word of a tuple of letters already freely reduced, taken as
+        it is: the word walks append only letters that do not cancel."""
+        word = object.__new__(cls)
+        word.letters = letters
+        return word
+
+    @classmethod
     def generator(cls, name: str, sign: int = 1) -> "Word":
         return cls(((name, sign),))
 

@@ -5,7 +5,8 @@ from importlib import import_module
 
 from treeauto.catalog import entry
 from treeauto.cli import main
-from treeauto.core import identity
+from treeauto.core import BoundaryPoint, identity
+from treeauto.freeness import stabilizer_search
 from treeauto.machine_io import parse_machine
 
 
@@ -178,17 +179,16 @@ def test_a_certificate_partial_is_the_report_it_stands_for(capsys):
 
 def test_trichotomy_builds_one_ball_per_point(monkeypatch, capsys):
     # the package re-exports a function named nucleus, so look modules up by name
-    modules = [import_module("treeauto." + m) for m in ("nucleus", "freeness", "cli")]
-    ball = modules[0].ball
+    nucleus = import_module("treeauto.nucleus")
+    reduced_words = nucleus._reduced_words
     calls = []
 
-    def counting_ball(*args, **kwargs):
+    def counting_walk(*args):
         calls.append(args)
-        return ball(*args, **kwargs)
+        return reduced_words(*args)
 
-    for module in modules:
-        if hasattr(module, "ball"):
-            monkeypatch.setattr(module, "ball", counting_ball)
+    # every walk of the ball's words, for ball itself or for the stabilizers
+    monkeypatch.setattr(nucleus, "_reduced_words", counting_walk)
     argv = ["trichotomy", "-f", "grigorchuk", "--point", ":1", "--max-len", "3"]
     assert main(argv) == 0
     assert json.loads(capsys.readouterr().out)["points"][0]["germ_order"] == 4
@@ -197,14 +197,14 @@ def test_trichotomy_builds_one_ball_per_point(monkeypatch, capsys):
 
 def test_trichotomy_builds_one_ball_per_run(monkeypatch, capsys):
     cli = import_module("treeauto.cli")
-    ball = cli.ball
+    stabilizers = cli._stabilizers
     calls = []
 
-    def counting_ball(*args, **kwargs):
+    def counting_stabilizers(*args, **kwargs):
         calls.append(args)
-        return ball(*args, **kwargs)
+        return stabilizers(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "ball", counting_ball)
+    monkeypatch.setattr(cli, "_stabilizers", counting_stabilizers)
     argv = ["trichotomy", "-f", "grigorchuk", "--point", ":1", "--point", ":0", "--max-len", "3"]
     assert main(argv) == 0
     points = json.loads(capsys.readouterr().out)["points"]
@@ -219,22 +219,29 @@ def test_trichotomy_builds_one_ball_per_run(monkeypatch, capsys):
 
 def test_trichotomy_walks_each_ray_once_per_point(monkeypatch, capsys):
     """Each ball element's ray is walked once per point, for the germ group
-    and the faithfulness probe together; the germ closure walks one more ray
-    per product, order squared of them."""
-    core = import_module("treeauto.core")
-    ray = core.Automorphism._ray
+    and the faithfulness probe together: on the ball walk's rows from the
+    element's block (the identity's on its own tables), and for an element
+    that fixes the ray once more on its value, for its germ key in the
+    value's numbering.  The germ closure walks one more ray per product,
+    order squared of them."""
+    core, nucleus = import_module("treeauto.core"), import_module("treeauto.nucleus")
+    gens = entry("grigorchuk").generators
+    size = len(nucleus.ball(gens, 3)[0])
+    hits = [len(stabilizer_search(gens, BoundaryPoint.parse(p), 3).words) for p in (":1", ":0")]
+    ray_walk = core._ray_walk
     calls = []
 
-    def counting_ray(self, w):
-        calls.append(w)
-        return ray(self, w)
+    def counting_ray_walk(*args):
+        calls.append(args)
+        return ray_walk(*args)
 
-    monkeypatch.setattr(core.Automorphism, "_ray", counting_ray)
+    # Automorphism._ray walks through core's binding, the ball walk through nucleus'
+    monkeypatch.setattr(core, "_ray_walk", counting_ray_walk)
+    monkeypatch.setattr(nucleus, "_ray_walk", counting_ray_walk)
     argv = ["trichotomy", "-f", "grigorchuk", "--point", ":1", "--point", ":0", "--max-len", "3"]
     assert main(argv) == 0
     orders = [p["germ_order"] for p in json.loads(capsys.readouterr().out)["points"]]
-    size = len(import_module("treeauto.nucleus").ball(entry("grigorchuk").generators, 3)[0])
-    assert len(calls) == sum(size + order * order for order in orders)
+    assert len(calls) == sum(size + hit + order * order for hit, order in zip(hits, orders))
 
 
 def test_gens_restricts_the_generating_set():

@@ -18,8 +18,10 @@ catalog words; inverses, also renumbered alone, must be canonical there.
 
 The product read off a pair walk from any state of a right machine
 (core._product) must equal compose and be canonical.  The ball walk, one
-pair walk per layer (core._reduced_words), must give the sequence of a
-walk composing once per word, on the catalog and on drawn generators.
+pair walk per layer (core._reduced_words), must give the new elements of
+a walk composing once per word, in its order, each value read off its
+block, on the catalog and on drawn generators; every word it yields must
+be freely reduced as built.
 Sections, inverses, compose and the ball all end in one renumbering
 (core._renumbered), so that comparison would miss a numbering fault
 they share; every walked value and every section of one is therefore
@@ -37,7 +39,10 @@ germ_is_trivial and the germ key; they are checked against applies and
 sections on long prefixes of the ray and against the two-walk
 germ_is_trivial.  Two elements fixing a ray must share a germ key exactly
 when g h^-1 has trivial germ, and germ groups read off the keys must equal
-those found by composing with every representative's inverse.
+those found by composing with every representative's inverse.  The ray
+stabilizers read off the ball walk's blocks (nucleus._stabilizers) must
+list exactly ball's elements that fix the ray, germ keys included, in
+ball's order, with ball's closed flag and its budget stop.
 
 Limit states found by peeling must be the states met at every large
 depth, and the one state-graph analysis that the activity module shares
@@ -90,7 +95,7 @@ from treeauto.nucleus import (
     GermGroupReport,
     _germ,
     _germ_group_in,
-    _stabilizer,
+    _stabilizers,
     ball,
     germ_is_trivial,
     limit_states,
@@ -228,11 +233,10 @@ def test_with_initial_on_drawn_machines(drawn):
 @pytest.mark.parametrize("family", sorted(builtin()))
 def test_with_initial_on_catalog_words(family):
     letters = symmetric_letters(builtin()[family].generators)
-    for _, value, known in _reduced_words(letters, 3, {}):
-        if known is None:
-            assert_sections_by_renumbering(value)
-            assert_canonical(value.inverse())
-            assert compose(value, value.inverse()).is_identity()
+    for _, value in walked(letters, 3):
+        assert_sections_by_renumbering(value)
+        assert_canonical(value.inverse())
+        assert compose(value, value.inverse()).is_identity()
 
 
 @PROPERTIES
@@ -269,8 +273,16 @@ def test_products_equal_compose(drawn):
         assert tables(core._product(left, h.perms, h.trans, h.initial)) == tables(compose(left, h))
 
 
+def walked(letters, max_len: int) -> list:
+    """(word, value) of each new element of the ball walk, every value read
+    off its block."""
+    k = letters[0][1].k
+    return [(word, core._renumbered(k, *rows, b)) for word, b, rows in _reduced_words(letters, max_len)]
+
+
 def reference_reduced_words(letters, max_len: int) -> list:
-    """_reduced_words as it was when it composed once per word."""
+    """(word, value's tables, known) of every reduced word, by a walk that
+    composes once per word; known is the first word with the same value."""
     elements = {identity(letters[0][1].k): Word(())}
     layer, out = [(Word(()), identity(letters[0][1].k))], []
     for _ in range(max_len):
@@ -301,21 +313,28 @@ PRODUCT_FAMILIES["repeated"] = {"a": ADDING, "b": ADDING, "e": identity(2)}
 @pytest.mark.parametrize("family", sorted(PRODUCT_FAMILIES))
 def test_reduced_words_against_compose_per_word(family):
     letters = symmetric_letters(PRODUCT_FAMILIES[family])
-    walked = [
-        (word, tables(value), known) for word, value, known in _reduced_words(letters, 4, {})
-    ]
-    assert walked == reference_reduced_words(letters, 4)
+    got = [(word, tables(value)) for word, value in walked(letters, 4)]
+    assert got == [(word, t) for word, t, known in reference_reduced_words(letters, 4) if known is None]
 
 
 @PROPERTIES
 @given(triples(), st.integers(1, 3))
 def test_reduced_words_on_drawn_generators(drawn, n):
     letters = symmetric_letters(dict(zip("abc", drawn[1][:n])))
-    walked = [
-        (word, tables(value), known) for word, value, known in _reduced_words(letters, 3, {})
-    ]
-    assert walked == reference_reduced_words(letters, 3)
+    got = [(word, tables(value)) for word, value in walked(letters, 3)]
+    assert got == [(word, t) for word, t, known in reference_reduced_words(letters, 3) if known is None]
     assert_walked_values(letters, 3)
+
+
+@pytest.mark.parametrize("family", sorted(PRODUCT_FAMILIES))
+def test_walked_words_are_reduced_as_built(family):
+    """Both word walks build a child from its prefix's letters unreduced;
+    every word they yield must be the reduced word of its letters."""
+    letters = symmetric_letters(PRODUCT_FAMILIES[family])
+    yielded = [word for word, _, _ in _reduced_words(letters, 4)]
+    yielded += [word for word, _ in _distinct_words(letters, 4)]
+    for word in yielded:
+        assert word == Word(list(word.letters)), word
 
 
 def assert_walked_values(letters, max_len: int):
@@ -332,7 +351,7 @@ def assert_walked_values(letters, max_len: int):
             act[name, 1] = {v: g.apply(v) for v in level}
             act[name, -1] = {image: v for v, image in act[name, 1].items()}
     sections = set()
-    for word, value, _ in _reduced_words(letters, max_len, {}):
+    for word, value in walked(letters, max_len):
         assert_canonical(value)
         sections.update(map(value._with_initial, range(value.state_count)))
         for v in level:
@@ -623,7 +642,7 @@ WALK_FAMILIES["bs_1_3"] = {"a": entry("adding_machine").generators["a"], "y": TI
 
 
 def exact_sequence(letters, max_len: int) -> list:
-    return [(word, known) for word, _, known in _reduced_words(letters, max_len, {})]
+    return [(word, known) for word, _, known in reference_reduced_words(letters, max_len)]
 
 
 @pytest.mark.parametrize("variant", WALK_VARIANTS)
@@ -916,7 +935,7 @@ def test_state_graphs_on_drawn_machines(drawn):
 @pytest.mark.parametrize("family", sorted(builtin()))
 def test_state_graphs_on_catalog_words(family):
     letters = symmetric_letters(builtin()[family].generators)
-    values = [value for _, value, known in _reduced_words(letters, 3, {}) if known is None]
+    values = [value for _, value in walked(letters, 3)]
     for value in values:
         assert_state_graphs(value)
     for a, b in zip(values, values[1:]):
@@ -1075,11 +1094,13 @@ GERM_RADII = {"grigorchuk": 4, "gupta_sidki_3": 2}
 @pytest.mark.parametrize("family", sorted(builtin()))
 def test_germ_keys_on_catalog_balls(family):
     gens = builtin()[family].generators
-    elements = ball(gens, GERM_RADII.get(family, 3))[0]
-    for w in rays(next(iter(gens.values())).k, 1, 2):
+    radius = GERM_RADII.get(family, 3)
+    elements = ball(gens, radius)[0]
+    points = rays(next(iter(gens.values())).k, 1, 2)
+    for w, stab in zip(points, _stabilizers(gens, radius, 100000, points)[0]):
         assert_germ_keys(elements, w)
         for max_order in (4, 16) if family != "aleshin" else ():
-            got = _germ_group_in(_stabilizer(elements, w), w, max_order)
+            got = _germ_group_in(stab, w, max_order)
             assert got == reference_germ_group(elements, w, max_order)
 
 
@@ -1088,8 +1109,48 @@ def test_germ_keys_on_catalog_balls(family):
 def test_germ_keys_on_drawn_pairs(gens, data):
     k = gens["a"].k
     elements = ball(gens, 2)[0]
-    for w in data.draw(st.lists(st.sampled_from(rays(k, 1, 2)), min_size=1, max_size=3)):
+    points = data.draw(st.lists(st.sampled_from(rays(k, 1, 2)), min_size=1, max_size=3))
+    for w, stab in zip(points, _stabilizers(gens, 2, 100000, points)[0]):
+        assert stab == reference_stabilizer(elements, w)
         assert_germ_keys(elements, w)
         for max_order in (1, 4):
-            got = _germ_group_in(_stabilizer(elements, w), w, max_order)
+            got = _germ_group_in(stab, w, max_order)
             assert got == reference_germ_group(elements, w, max_order)
+
+
+def reference_stabilizer(elements: dict, w: BoundaryPoint) -> list:
+    """(word, element, germ key) of ball's elements fixing w, in ball's order."""
+    return [(word, g, _germ(g, w)) for g, word in elements.items() if _germ(g, w) is not None]
+
+
+# perfbench's rays; radius 4 for every family but the two free groups
+STABILIZER_RADII = {"aleshin": 3, "tullio": 3}
+
+
+@pytest.mark.parametrize("family", sorted(builtin()))
+def test_stabilizers_against_the_ball(family):
+    gens = builtin()[family].generators
+    points = rays(next(iter(gens.values())).k, 1, 2)
+    for radius in range(STABILIZER_RADII.get(family, 4) + 1):
+        elements, closed = ball(gens, radius)
+        stabs, stabs_closed = _stabilizers(gens, radius, 100000, points)
+        assert stabs_closed == closed, radius
+        for w, stab in zip(points, stabs):
+            assert stab == reference_stabilizer(elements, w), (radius, w)
+
+
+@pytest.mark.parametrize("family", ["grigorchuk", "basilica", "aleshin"])
+def test_stabilizers_stop_where_the_ball_stops(family):
+    """Past the budget the walk raises what ball raises, partial map included."""
+    gens = builtin()[family].generators
+    size = len(ball(gens, 3)[0])
+    for budget in (1, 2, size // 2, size - 1):
+        with pytest.raises(BudgetExceeded) as expected:
+            ball(gens, 3, budget)
+        with pytest.raises(BudgetExceeded) as got:
+            _stabilizers(gens, 3, budget, [BoundaryPoint((), (1,))])
+        assert str(got.value) == str(expected.value)
+        for field in ("budget", "spent", "limit"):
+            assert getattr(got.value, field) == getattr(expected.value, field)
+        assert list(got.value.partial.items()) == list(expected.value.partial.items())
+    assert _stabilizers(gens, 3, size, [])[1] == ball(gens, 3, size)[1]

@@ -463,8 +463,9 @@ def test_self_similarity_stops_at_its_last_witness(compose_calls):
 def pair_walks(monkeypatch):
     """Lists that every core._pair_quotient walk and _product call appends
     to, once the catalog is built, and every _renumbered read-off once a
-    walk has started: the sections and inverses read off to set up the
-    walk's letters are not counted."""
+    walk has started, in core or in the nucleus module's ball walks: the
+    sections and inverses read off to set up the walk's letters are not
+    counted."""
     builtin()
     calls = {"walks": [], "reads": [], "products": []}
     for name, key in (("_pair_quotient", "walks"), ("_renumbered", "reads"), ("_product", "products")):
@@ -475,6 +476,8 @@ def pair_walks(monkeypatch):
             return _call(*args)
 
         monkeypatch.setattr(core, name, counting)
+        if key == "reads":
+            monkeypatch.setattr(nucleus_module, name, counting)
     return calls
 
 
@@ -483,9 +486,21 @@ def test_ball_takes_one_pair_walk_per_layer(pair_walks):
     elements, closed = ball(gens, 4)
     assert len(elements) == 1 + 6 * (5**4 - 1) // 4 and not closed
     assert len(pair_walks["walks"]) == 4
-    # one read-off per non-identity block: no child of a free group's walk is trivial
+    # one read-off per new non-identity element: in a free group every child is new
     assert len(pair_walks["reads"]) == 936
     assert pair_walks["products"] == []
+    for calls in pair_walks.values():
+        calls.clear()
+    # most children of a torsion group's walk are elements met before, in an
+    # earlier layer or earlier in the same one, and their blocks tell them
+    # apart with no read-off (505 reads when every reached block was read)
+    elements, closed = ball(entry("grigorchuk").generators, 8)
+    assert len(pair_walks["reads"]) == len(elements) - 1 == 270
+    for calls in pair_walks.values():
+        calls.clear()
+    # the stabilizer reads off only the elements that fix the ray
+    sample = stabilizer_search(entry("grigorchuk").generators, BoundaryPoint.parse(":1"), 4)
+    assert len(pair_walks["reads"]) == len(sample.words) == 9
 
 
 def test_self_similarity_reads_off_only_what_it_consumed(monkeypatch, pair_walks):
