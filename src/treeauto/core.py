@@ -573,14 +573,12 @@ def level_action(g: Automorphism, n: int) -> tuple[list[int], list[int]]:
     Vertices are base-k integers, first letter most significant.  Levels
     are built bottom up by pi_s(x k^(m-1) + w) = perm_s(x) k^(m-1) + pi_t(w),
     t = trans_s(x), one sweep over the nontrivial states g reaches after
-    n - m letters.  The identity state is never swept: a trivial child's
-    images are a range and its states zeros, and a child that perm_s(x)
-    leaves unshifted (perm_s(x) = 0) is copied as it is.
+    n - m letters.  Below the root the identity state is never swept: a
+    trivial child's images are a range and its states zeros, and a child
+    that perm_s(x) leaves unshifted (perm_s(x) = 0) is copied as it is.
     """
     if n < 0:
         raise ValueError("level must be nonnegative")
-    if not g.initial:
-        return list(range(g.k ** n)), [0] * g.k ** n
     reach = [{g.initial}]
     for _ in range(n):
         reach.append({t for s in reach[-1] for t in g.trans[s] if t})

@@ -190,7 +190,11 @@ def _reduced_levels(syms: list, level: int, start=None) -> list:
     the level's nontrivial sections: the components of every vertex u and
     of syms[j](u) where syms[j]|_u is the state s, syms[j] fixing u exactly
     when `fixed`.  members maps each component glued from more than one
-    piece to its pieces (module docstring).
+    piece to its pieces (module docstring).  B is None on every entry of a
+    generator with no trivial section (Aleshin's) when there is no `start`:
+    B only glues pieces, and only below a trivial section.  With a `start`
+    every entry carries B, since any nontrivial section may join two
+    components of an orbit.
 
     Given a level-`level` vertex `start`, every level keeps only the orbit
     of start's prefix: the components its nontrivial sections join to the
@@ -199,20 +203,9 @@ def _reduced_levels(syms: list, level: int, start=None) -> list:
     """
     k = syms[0].k
     letters = range(k)
-    if start is not None:  # any nontrivial section may join two components of an orbit
-        gluing = [range(len(g.perms)) for g in syms]
-    else:
-        # the states of each generator that reach the identity state: only
-        # their entries can glue pieces, so only they carry B (None otherwise)
-        gluing = []
-        for g in syms:
-            reach, more = set(), {0}
-            while more:
-                reach |= more
-                more = {s for s, row in enumerate(g.trans) if s not in reach and not reach.isdisjoint(row)}
-            gluing.append(reach)
+    carry = [start is not None or any(0 in row for row in g.trans[1:]) for g in syms]
     entries = {
-        (j, g.initial, True): ([0], [0] if g.initial in gluing[j] else None)
+        (j, g.initial, True): ([0], [0] if carry[j] else None)
         for j, g in enumerate(syms)
         if g.initial
     }
@@ -226,7 +219,7 @@ def _reduced_levels(syms: list, level: int, start=None) -> list:
             for x in letters:
                 y, t = perm[x], trans[x]
                 As = [a * k + x for a in A]
-                Bs = [b * k + y for b in B] if t in gluing[j] else None
+                Bs = [b * k + y for b in B] if carry[j] else None
                 if t:
                     key = (j, t, fixed and x == y)
                     if key in pieces:
@@ -425,10 +418,8 @@ def isoperimetric_profile(
     """Folner candidates for levels 1 through max_level, from one recursion."""
     if max_level < 0:
         raise ValueError("level must be nonnegative")
-    if budget < 1:
-        raise ValueError("budget must be at least 1")
     k = _alphabet(gens)  # checked also when no level is asked for
-    for n in range(1, max_level + 1):  # the first level over the budget names it
+    for n in range(max_level + 1):  # level 0 checks the budget, the first level over it names it
         _level_vertices(k, n, budget)
     k, levels = _level_graph(gens, max_level, budget)
     return tuple(_folner_report(k, levels[: n + 1]) for n in range(1, max_level + 1))

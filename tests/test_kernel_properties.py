@@ -396,6 +396,13 @@ def test_level_action(drawn):
         assert states == [g.state_at(v) for v in verts]
 
 
+@pytest.mark.parametrize("k", (2, 3))
+def test_level_action_of_the_identity(k):
+    # the identity takes the general sweep, its state 0 swept at the root only
+    for n in range(5):
+        assert level_action(identity(k), n) == (list(range(k ** n)), [0] * k ** n)
+
+
 def brute_orbit(gens, v) -> tuple:
     syms = list(symmetrize(gens).values())
     seen, queue = {v}, deque([v])
@@ -501,6 +508,24 @@ def test_profile_is_the_candidate_of_each_level(family):
     assert isoperimetric_profile(gens, n) == tuple(folner_candidate(gens, m) for m in range(1, n + 1))
 
 
+def mixed_machine() -> dict:
+    """m = (1 0)(a, e) over Aleshin's a, b, c, with b: m has a trivial section
+    and states that never reach the identity, b has no trivial section.  No
+    catalog generator has both, so only here does the level recursion carry
+    B (the components of g(u)) for states that can never glue pieces."""
+    table = {
+        "a": ((1, 0), ("b", "c")),
+        "b": ((1, 0), ("c", "b")),
+        "c": ((0, 1), ("a", "a")),
+        "m": ((1, 0), ("a", "e")),
+    }
+    return {name: Automorphism.from_states(2, table, name) for name in "mb"}
+
+
+def test_level_graphs_on_a_mixed_machine():
+    assert_level_graphs(mixed_machine(), range(1, 7))
+
+
 @PROPERTIES
 @given(pairs())
 def test_level_graphs_on_drawn_pairs(gens):
@@ -566,6 +591,12 @@ def test_orbits_on_both_paths_on_grigorchuk(names):
     gens = entry("grigorchuk").generators
     for g in gens.values():
         assert_orbits_on_both_paths({x: gens[x] for x in names}, g, range(7))
+
+
+def test_orbits_on_both_paths_on_a_mixed_machine():
+    gens = mixed_machine()
+    for g in gens.values():
+        assert_orbits_on_both_paths(gens, g, range(7))
 
 
 @st.composite

@@ -234,6 +234,22 @@ def test_a_small_orbit_on_a_level_that_fits_is_read_off_the_recursion(monkeypatc
     assert [sizes for sizes, _, _ in levels] == [{2 ** m - 1: 1} for m in range(20)]
 
 
+def test_which_entries_carry_gluing_ends():
+    # B, the components of g(u), glues pieces only below a trivial section:
+    # with no start vertex Aleshin's generators, which have none, never
+    # carry it, and Grigorchuk's always do; an orbit joins components by any
+    # nontrivial section, so with a start vertex every entry carries B
+    def ends(family, start=None):
+        syms = list(symmetrize(entry(family).generators).values())
+        levels = schreier._reduced_levels(syms, 8, start)
+        return [B for _, entries, _ in levels for _, B in entries.values()]
+
+    aleshin, grigorchuk = ends("aleshin"), ends("grigorchuk")
+    assert aleshin and all(B is None for B in aleshin)
+    assert grigorchuk and all(B is not None for B in grigorchuk)
+    assert all(B is not None for B in ends("aleshin", (0,) * 8))
+
+
 def test_theta_relative_on_a_one_orbit_level_runs_one_recursion(monkeypatch):
     monkeypatch.setattr(schreier, "level_action", _no_level_sweep)
     calls = _counted_recursions(monkeypatch)
