@@ -281,27 +281,18 @@ def directions(g: Automorphism) -> DirectionSet:
 # -- measures ------------------------------------------------------------------
 
 
-def _solve_linear(A: list[list[Fraction]], b: list[Fraction]) -> list[Fraction]:
-    n = len(A)
-    M = [row[:] + [b[i]] for i, row in enumerate(A)]
-    for col in range(n):
-        pivot = next(r for r in range(col, n) if M[r][col] != 0)
-        M[col], M[pivot] = M[pivot], M[col]
-        inv = 1 / M[col][col]
-        M[col] = [x * inv for x in M[col]]
-        for r in range(n):
-            if r != col and M[r][col]:
-                f = M[r][col]
-                M[r] = [x - f * y for x, y in zip(M[r], M[col])]
-    return [M[r][n] for r in range(n)]
-
-
 def singular_measure(g: Automorphism) -> Fraction:
     """The measure of the rays along which g's sections never become trivial.
 
     Complement of the absorption probability into the identity state under
-    uniformly random letters; the absorbing-chain system is solved exactly
-    over the rationals.
+    uniformly random letters.  Times k, the absorbing-chain system has
+    integer coefficients: k x_s, less x_t for each letter into a state t
+    that reaches the identity, is the number of letters into the identity.
+    It is solved by fraction-free (Bareiss) elimination, exact on integers.
+    Its matrix is a nonsingular M-matrix (every state in it reaches the
+    identity), so every leading minor, and with it every pivot, is
+    positive; the initial state comes last, so back-substitution needs only
+    the last row.
     """
     if g.is_identity():
         return Fraction(0)
@@ -321,21 +312,26 @@ def singular_measure(g: Automorphism) -> Fraction:
     if g.initial not in canreach:
         return Fraction(1)
 
-    R = sorted(s for s in canreach if s != 0)
+    R = sorted(s for s in canreach if s not in (0, g.initial)) + [g.initial]
     pos = {s: i for i, s in enumerate(R)}
     n = len(R)
-    A = [[Fraction(0)] * n for _ in range(n)]
-    b = [Fraction(0)] * n
-    share = Fraction(1, k)
-    for s in R:
-        A[pos[s]][pos[s]] += 1
+    M = [[0] * (n + 1) for _ in range(n)]  # the system, right-hand side last
+    for s, row in zip(R, M):
+        row[pos[s]] += k
         for t in g.trans[s]:
             if t == 0:
-                b[pos[s]] += share
+                row[n] += 1
             elif t in pos:
-                A[pos[s]][pos[t]] -= share
-    x = _solve_linear(A, b)
-    return 1 - x[pos[g.initial]]
+                row[pos[t]] -= 1
+    prev = 1
+    for c in range(n - 1):
+        top = M[c]
+        p = top[c]
+        for i in range(c + 1, n):
+            f = M[i][c]
+            M[i] = [(p * x - f * y) // prev for x, y in zip(M[i], top)]
+        prev = p
+    return 1 - Fraction(M[-1][n], M[-1][n - 1])
 
 
 def empirical_measure_sequence(g: Automorphism, n: int) -> list[Fraction]:

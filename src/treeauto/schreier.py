@@ -31,6 +31,19 @@ touched only to list a component.  A component is named by its least
 vertex: the piece C x has least vertex (least C) k + x, so pieces met in
 order of their names are met in order of least vertex.
 
+A level that is one component, the whole level, ends the recursion once it
+repeats.  The step from such a level reads only its entries: the
+component is named 0 on every level, sizes only scale by k, and with one
+component the start is never read, since nothing is restricted.  So when
+a whole-level component has the entries of an earlier one, with only
+whole-level components between them, every later level repeats that
+stretch with its period.  Bounded groups have a bounded number of
+nontrivial sections per level, so a level that stays one component must
+come back to an earlier one: the adding machine and Gupta-Sidki repeat
+level 1 at level 2, basilica level 2 at level 4, grigorchuk level 1 at
+level 4.  A level of several components, or a start's orbit short of the
+level, may depend on the level or the start, so it starts the search over.
+
 Orbits are read off the same recursion.  An orbit is closed under the
 generators, so the graph of level m + 1 over O x (O the orbit of v's
 length-m prefix, x any letter) needs nothing outside it: its trivial
@@ -150,13 +163,13 @@ def schreier_graph(
     syms, k, n, keys, rows = _orbit(gens, v, budget)
     verts = _vertices(keys, k, n)
     if rows is None and len(keys) == k ** n:
-        # the whole level: each key is its own index, so the edges are the
-        # label columns of the level actions interleaved
-        columns = [
-            zip(keys, repeat(j), images, list(map(not_, states)))
-            for j, (images, states) in enumerate(level_action(g, n) for g in syms.values())
-        ]
-        edges = tuple(chain.from_iterable(zip(*columns)))
+        # the whole level: each key is its own index, so the edges of label
+        # j are every len(syms)-th edge from the j-th
+        step = len(syms)
+        edges = [None] * (k ** n * step)
+        for j, g in enumerate(syms.values()):
+            images, states = level_action(g, n)
+            edges[j::step] = zip(keys, repeat(j), images, map(not_, states))
     else:
         if rows is None:  # a smaller orbit of a level that fits: walk its vertices
             rows = [dict(zip(verts, map(g._walk, verts))) for g in syms.values()]
@@ -167,7 +180,7 @@ def schreier_graph(
             for j, row in enumerate(rows)
             for w, s in (row[u],)
         )
-    return SchreierGraph(n, tuple(syms), verts, edges)
+    return SchreierGraph(n, tuple(syms), verts, tuple(edges))
 
 
 def _level_vertices(k: int, level: int, budget: int) -> None:
@@ -200,6 +213,14 @@ def _reduced_levels(syms: list, level: int, start=None) -> list:
     of start's prefix: the components its nontrivial sections join to the
     prefix's (_restricted).  An orbit is closed under the generators, so
     the next level, built over it alone, needs nothing outside it.
+
+    A level m that is one component covering the whole level is keyed by
+    its entries.  The step from it reads neither m nor the start (nothing
+    is restricted), so once a key repeats with only such levels between,
+    the levels after it repeat the levels after the first with that
+    period: they are filled in from them, sharing their entries and
+    members, and the recursion stops.  Any other level clears the keys
+    (module docstring).
     """
     k = syms[0].k
     letters = range(k)
@@ -211,8 +232,20 @@ def _reduced_levels(syms: list, level: int, start=None) -> list:
     }
     levels = [({0: 1}, entries, {})]
     here = 0  # the component of start's prefix
+    seen = {}  # the whole-level components since the last level that was not one
     for m in range(level):
         sizes, entries, _ = levels[-1]
+        if sizes.get(0) == k ** m:  # one component, the whole level
+            # every end is 0 and carry[j] says whether B is kept, so an
+            # entry is its key and its length
+            i = seen.setdefault((tuple(entries), tuple([len(A) for A, _ in entries.values()])), m)
+            if i < m:  # levels m + 1, ... repeat levels i + 1, ..., m
+                period = levels[i + 1 :]
+                for j in range(m + 1, level + 1):
+                    levels.append(({0: k ** j},) + period[(j - i - 1) % len(period)][1:])
+                break
+        else:
+            seen.clear()
         pieces, glue = {}, {}
         for (j, s, fixed), (A, B) in entries.items():
             perm, trans = syms[j].perms[s], syms[j].trans[s]
@@ -330,6 +363,8 @@ def gamma_prime_components(
 ) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """Components of the level graph restricted to trivial-section edges."""
     k, levels = _level_graph(gens, level, budget)
+    if len(levels[-1][0]) == 1:  # one component, the whole level
+        return (tuple(product(range(k), repeat=level)),)
     labels = [0]  # the component of every vertex, level by level
     for _, _, members in levels[1:]:
         labels = [c * k + x for c in labels for x in range(k)]

@@ -197,14 +197,21 @@ def test_directions_reject_unbounded():
         directions(mirror())
 
 
+def exact(value):
+    """value, checked to be a Fraction: a ratio of ints would be a float,
+    equal to Fraction(1, 2) and yet not exact."""
+    assert type(value) is Fraction
+    return value
+
+
 def test_singular_measure_frozen():
-    assert singular_measure(identity(2)) == 0
+    assert exact(singular_measure(identity(2))) == 0
     for name in ("adding_machine", "tullio", "grigorchuk", "basilica"):
         for g in entry(name).generators.values():
-            assert singular_measure(g) == 0
-    assert singular_measure(mirror()) == 1
+            assert exact(singular_measure(g)) == 0
+    assert exact(singular_measure(mirror())) == 1
     for g in entry("aleshin").generators.values():
-        assert singular_measure(g) == 1
+        assert exact(singular_measure(g)) == 1
 
 
 def test_singular_measure_strictly_between():
@@ -216,8 +223,84 @@ def test_singular_measure_strictly_between():
         {"m": ((1, 0), ("g", "e")), "g": ((1, 0), ("g", "g"))},
         "m",
     )
-    assert singular_measure(m) == Fraction(1, 2)
+    assert exact(singular_measure(m)) == Fraction(1, 2)
     assert [theta(m, i) for i in range(5)] == [1, 1, 2, 4, 8]
+
+
+def solve_linear(A: list[list[Fraction]], b: list[Fraction]) -> list[Fraction]:
+    """Gauss-Jordan elimination over Fraction, with a pivot search."""
+    n = len(A)
+    M = [row[:] + [b[i]] for i, row in enumerate(A)]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if M[r][col] != 0)
+        M[col], M[pivot] = M[pivot], M[col]
+        inv = 1 / M[col][col]
+        M[col] = [x * inv for x in M[col]]
+        for r in range(n):
+            if r != col and M[r][col]:
+                f = M[r][col]
+                M[r] = [x - f * y for x, y in zip(M[r], M[col])]
+    return [M[r][n] for r in range(n)]
+
+
+def oracle_measure(g) -> Fraction:
+    """1 - the absorption probability into the identity, from the chain
+    x_s = sum over letters of x_t / k (x_0 = 1, x_t = 0 where t never
+    reaches the identity) solved over Fraction."""
+    reach = {0}
+    while True:  # the states that reach the identity, to a fixpoint
+        more = {s for s in range(g.state_count) if reach & set(g.trans[s])} - reach
+        if not more:
+            break
+        reach |= more
+    if g.initial not in reach:
+        return Fraction(1)
+    R = sorted(reach - {0})
+    if not R:
+        return Fraction(0)
+    A = [[Fraction(int(s == t)) for t in R] for s in R]
+    b = [Fraction(0)] * len(R)
+    for i, s in enumerate(R):
+        for t in g.trans[s]:
+            if t == 0:
+                b[i] += Fraction(1, g.k)
+            elif t in reach:
+                A[i][R.index(t)] -= Fraction(1, g.k)
+    return 1 - solve_linear(A, b)[R.index(g.initial)]
+
+
+def drawn_machine(rng, k: int) -> Automorphism:
+    """Up to 6 states that may reach the identity over up to 3 that never
+    do, so that measures strictly between 0 and 1 are common."""
+    names = ["s%d" % i for i in range(rng.randint(1, 6))]
+    live = ["t%d" % i for i in range(rng.randint(0, 3))]
+    targets = names + live + ["e"] * rng.randint(1, 2)
+    table = {}
+    for name in names + live:
+        row = tuple(rng.choice(live if name in live else targets) for _ in range(k))
+        table[name] = (tuple(rng.sample(range(k), k)), row)
+    return Automorphism.from_states(k, table, names[0])
+
+
+def test_singular_measure_against_the_fraction_solve_on_drawn_machines():
+    rng = random.Random(11)
+    strictly_between = 0
+    for _ in range(300):
+        k = rng.choice((2, 3, 4))
+        g = drawn_machine(rng, k)
+        for h in (g, compose(g, drawn_machine(rng, k))):
+            want = oracle_measure(h)
+            assert exact(singular_measure(h)) == want
+            strictly_between += 0 < want < 1
+    assert strictly_between > 100  # the draws reach past the 0 and 1 shortcuts
+
+
+def test_singular_measure_against_the_fraction_solve_on_the_word_pool(workloads):
+    # the words whose measures the contracting benchmark workload takes
+    for family in workloads.ACTIVITY_DRAWS:
+        for word in workloads.word_pool(family):
+            g = evaluate_word(workloads.gens(family), word)
+            assert exact(singular_measure(g)) == oracle_measure(g)
 
 
 def test_empirical_measure_sequence():

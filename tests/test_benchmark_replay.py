@@ -9,27 +9,9 @@ The cli commands run in process through treeauto.cli.main (0.07 s for all
 of them), not in the child interpreters the benchmark starts.
 """
 
-import importlib.util
 import random
-import sys
-from pathlib import Path
 
 import pytest
-
-WORKLOADS_PY = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
-
-
-@pytest.fixture(scope="module")
-def workloads():
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS_PY)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module
-    try:
-        spec.loader.exec_module(module)
-        yield module
-    finally:
-        del sys.modules[spec.name]
-
 
 @pytest.mark.parametrize("workload", ["free_words", "contracting", "levels", "cli"])
 def test_one_seeded_pass_matches_the_frozen_results(workloads, workload):

@@ -105,6 +105,7 @@ from treeauto.schreier import (
     ComponentSummary,
     FolnerReport,
     SchreierGraph,
+    _reduced_levels,
     folner_candidate,
     gamma_prime_components,
     isoperimetric_profile,
@@ -612,6 +613,65 @@ def orbit_cases(draw):
 @given(orbit_cases())
 def test_orbits_on_both_paths_on_drawn_machines(case):
     assert_orbits_on_both_paths(*case, range(7))
+
+
+# -- periodic levels -----------------------------------------------------------
+
+# levels past the first repeat of a whole-level component by at least two
+# periods: the adding machine and Gupta-Sidki repeat level 1 at level 2,
+# grigorchuk level 1 at level 4, basilica level 2 at level 4
+PAST_THE_PERIOD = {
+    "adding_machine": range(7, 11),
+    "basilica": range(7, 11),
+    "grigorchuk": range(7, 11),
+    "gupta_sidki_3": range(5, 7),
+}
+
+
+@pytest.mark.parametrize("family", sorted(PAST_THE_PERIOD))
+def test_level_graphs_past_the_period(family):
+    gens = entry(family).generators
+    assert_level_graphs(gens, PAST_THE_PERIOD[family])
+    for g in gens.values():
+        assert_orbits_on_both_paths(gens, g, PAST_THE_PERIOD[family])
+
+
+def test_proper_orbits_past_the_period():
+    # basilica's a alone: the orbit of 0^n is a proper one-component orbit,
+    # and the next level depends on the start's letter, so no restricted
+    # level may end the recursion
+    gens = entry("basilica").generators
+    a = {"a": gens["a"]}
+    for n in range(7, 11):
+        for v in ((0,) * n, (1,) * n, tuple(x % 2 for x in range(n))):
+            assert len(brute_orbit(a, v)) < 2 ** n
+            assert orbit(a, v) == brute_orbit(a, v)
+            assert schreier_graph(a, v) == brute_schreier(a, v)
+        assert_orbits_on_both_paths(a, gens["b"], [n])
+
+
+def test_a_split_level_between_two_equal_whole_levels():
+    # a = (1 0)(s, t), s = (1 0), t = (a, e): levels 2 and 4 are one whole
+    # component with equal entries, but level 3 splits in two, so level 5
+    # must not be read off level 3
+    table = {"a": ((1, 0), ("s", "t")), "s": ((1, 0), ("e", "e")), "t": ((0, 1), ("a", "e"))}
+    gens = {"a": Automorphism.from_states(2, table, "a")}
+    levels = _reduced_levels(list(symmetrize(gens).values()), 8)
+    assert [len(sizes) for sizes, _, _ in levels] == [1, 2, 1, 2, 1, 2, 1, 2, 1]
+    assert_level_graphs(gens, range(1, 9))
+    assert_orbits_on_both_paths(gens, gens["a"], range(9))
+
+
+def test_a_repeated_whole_level_ends_the_recursion():
+    # grigorchuk's level 4 is its level 1 again, so level 200 shares its
+    # entries and members with level 197, and nothing past level 4 is built
+    syms = list(symmetrize(entry("grigorchuk").generators).values())
+    levels = _reduced_levels(syms, 200)
+    assert len(levels) == 201
+    assert levels[200][0] == {0: 2 ** 200}
+    assert levels[200][1] is levels[197][1] is levels[5][1]
+    assert levels[200][2] is levels[197][2]
+    assert levels[200][1] is not levels[199][1]
 
 
 # -- the keyed word walk -------------------------------------------------------
