@@ -57,6 +57,15 @@ on the quotient rows of its walk.  A declared machine
 (0, s) reachable from (0, initial) are exactly the declared states that
 initial reaches, numbered breadth-first.
 
+The walk and the renumbering each have two bodies, chosen by the
+alphabet alone: on two letters, the alphabet of most of the catalog, the
+letter loop is written out, since at that size the loop itself (a
+per-letter enumerate, a list per pair or per row) costs more than the
+lookups it drives.  The binary body meets pairs and states in the order
+of the generic one, letter 0's successor before letter 1's, so it builds
+the same tables, block numbers and breadth-first numbering; larger
+alphabets take the generic loop.
+
 Composition is right to left throughout: (compose(g, h))(v) = g(h(v)).
 """
 
@@ -90,10 +99,14 @@ class BudgetExceeded(RuntimeError):
 def vertex(v: VertexLike) -> tuple[int, ...]:
     """Coerce a vertex to a tuple of letters.
 
-    Accepts int sequences and digit strings ("011" means the vertex 0,1,1).
-    Alphabets with more than ten letters need the sequence form.  Negative
-    letters are rejected here, letters past the alphabet by the action.
+    Accepts int sequences and strings of the ASCII digits 0-9 ("011" means
+    the vertex 0,1,1).  Alphabets with more than ten letters need the
+    sequence form.  Negative letters and other characters are rejected
+    here, letters past the alphabet by the action.
     """
+    if isinstance(v, str) and v and not (v.isascii() and v.isdigit()):
+        bad = next(c for c in v if c not in "0123456789")
+        raise ValueError("non-digit character %r in vertex %r" % (bad, v))
     out = tuple(map(int, v))
     if out and min(out) < 0:
         raise ValueError("negative letter %d in vertex %r" % (min(out), v))
@@ -458,17 +471,38 @@ def _pair_quotient(gperms, gtrans, hperms, htrans, pairs) -> tuple[list, list, l
         firsts.append(index[pair])
     perms = [tuple(range(k))]
     cols: list[list[int]] = [[0] for _ in range(k)]
-    for pair in order:  # the list grows while it is walked
-        p, q = divmod(pair, m)
-        gperm, grow, hperm, hrow = gperms[p], gtrans[p], hperms[q], htrans[q]
-        perms.append(tuple([gperm[y] for y in hperm]))
-        for x, col in enumerate(cols):
-            nxt = grow[hperm[x]] * m + hrow[x]
+    if k == 2:  # the generic body below, its letter loop unrolled
+        c0, c1 = cols
+        for pair in order:  # the list grows while it is walked
+            p, q = divmod(pair, m)
+            gperm, grow = gperms[p], gtrans[p]
+            h0, h1 = hperms[q]
+            r0, r1 = htrans[q]
+            perms.append((gperm[h0], gperm[h1]))
+            nxt = grow[h0] * m + r0
             t = index.get(nxt)
             if t is None:
                 t = index[nxt] = len(index)
                 order.append(nxt)
-            col.append(t)
+            c0.append(t)
+            nxt = grow[h1] * m + r1
+            t = index.get(nxt)
+            if t is None:
+                t = index[nxt] = len(index)
+                order.append(nxt)
+            c1.append(t)
+    else:
+        for pair in order:  # the list grows while it is walked
+            p, q = divmod(pair, m)
+            gperm, grow, hperm, hrow = gperms[p], gtrans[p], hperms[q], htrans[q]
+            perms.append(tuple([gperm[y] for y in hperm]))
+            for x, col in enumerate(cols):
+                nxt = grow[hperm[x]] * m + hrow[x]
+                t = index.get(nxt)
+                if t is None:
+                    t = index[nxt] = len(index)
+                    order.append(nxt)
+                col.append(t)
     n = len(perms)
     table: dict = {}
     ids = [table.setdefault(p, len(table)) for p in perms]
@@ -508,16 +542,30 @@ def _renumbered(k: int, perms, trans, s: int) -> Automorphism:
     number = {0: 0, s: 1}
     order = [s]
     new_perms, new_trans = [perms[0]], [trans[0]]
-    for t in order:  # the list grows while it is walked
-        row = []
-        for u in trans[t]:
-            v = number.get(u)
-            if v is None:
-                v = number[u] = len(number)
-                order.append(u)
-            row.append(v)
-        new_perms.append(perms[t])
-        new_trans.append(tuple(row))
+    if k == 2:  # the generic body below, its letter loop unrolled
+        for t in order:  # the list grows while it is walked
+            a, b = trans[t]
+            x = number.get(a)
+            if x is None:
+                x = number[a] = len(number)
+                order.append(a)
+            y = number.get(b)
+            if y is None:
+                y = number[b] = len(number)
+                order.append(b)
+            new_perms.append(perms[t])
+            new_trans.append((x, y))
+    else:
+        for t in order:  # the list grows while it is walked
+            row = []
+            for u in trans[t]:
+                v = number.get(u)
+                if v is None:
+                    v = number[u] = len(number)
+                    order.append(u)
+                row.append(v)
+            new_perms.append(perms[t])
+            new_trans.append(tuple(row))
     return Automorphism(k, tuple(new_perms), tuple(new_trans), 1, _raw=True)
 
 
@@ -525,7 +573,7 @@ def _quotient_rows(perms, cols, ids) -> tuple[list, list]:
     """The quotient's tables by the blocks `ids`, one row per block, from a
     pair in each; blocks are numbered as first met, so row b is block b."""
     reps = dict(zip(ids, range(len(ids)))).values()
-    return [perms[r] for r in reps], [tuple([ids[col[r]] for col in cols]) for r in reps]
+    return [perms[r] for r in reps], list(zip(*[[ids[col[r]] for r in reps] for col in cols]))
 
 
 def invert(g: Automorphism) -> Automorphism:

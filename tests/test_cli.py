@@ -298,6 +298,11 @@ def test_exit_codes():
     assert (code, out) == (1, "")
     assert err == "error: bad exponent in token 'a^0'\n"
 
+    for target, text in (("0x1", "0x1"), (":0x", "0x")):
+        code, out, err = run("eval", "-f", "adding_machine", "a", target)
+        assert (code, out) == (1, "")
+        assert err == "error: non-digit character 'x' in vertex %r\n" % text, target
+
     for target in ("05", ":05"):
         code, _, err = run("eval", "-f", "adding_machine", "a", target)
         assert code == 1

@@ -35,6 +35,19 @@ def test_vertex_coercion():
         vertex((0, -1))
 
 
+@pytest.mark.parametrize(
+    "text, char",
+    [("0x1", "x"), ("\u0663", "\u0663"), ("1 0", " "), ("+1", "+"), ("\u00b2", "\u00b2")],
+    ids=["hex", "arabic-indic", "space", "sign", "superscript"],
+)
+def test_vertex_strings_take_ascii_digits_only(text, char):
+    # int() would read the Arabic-Indic three as letter 3 and the others with
+    # a message that names neither the vertex nor its character
+    with pytest.raises(ValueError) as info:
+        vertex(text)
+    assert str(info.value) == "non-digit character %r in vertex %r" % (char, text)
+
+
 def test_bad_letters_are_rejected():
     a = ADDING["a"]
     with pytest.raises(ValueError):

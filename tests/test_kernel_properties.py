@@ -1,6 +1,6 @@
 """Property tests of the canonical form, against oracles that do not use it.
 
-Hypothesis draws small machines (two or three letters, at most six declared
+Hypothesis draws small machines (two to four letters, at most six declared
 states, among them unreachable states, behaviorally duplicate states and
 non-zero states acting trivially) and puts them through from_states,
 compose, inverse and section.  Every result is checked by walks over its
@@ -22,6 +22,11 @@ pair walk per layer (core._reduced_words), must give the new elements of
 a walk composing once per word, in its order, each value read off its
 block, on the catalog and on drawn generators; every word it yields must
 be freely reduced as built.
+On two letters the pair walk and the renumbering take a body with the
+letter loop written out; a copy of the generic loops kept here must give
+the same tables, block numbers and numbering on drawn binary machines,
+with one start and with many, and on every layer of the catalog's
+binary balls.
 Sections, inverses, compose and the ball all end in one renumbering
 (core._renumbered), so that comparison would miss a numbering fault
 they share; every walked value and every section of one is therefore
@@ -136,7 +141,7 @@ def machines(draw, k: int) -> tuple:
 @st.composite
 def triples(draw):
     """Three machines on one alphabet, with the declaration of the first."""
-    k = draw(st.sampled_from((2, 3)))
+    k = draw(st.sampled_from((2, 3, 4)))
     decls = [draw(machines(k)) for _ in range(3)]
     return decls[0], tuple(Automorphism.from_states(k, *d) for d in decls)
 
@@ -322,9 +327,10 @@ def test_reduced_words_against_compose_per_word(family):
 @given(triples(), st.integers(1, 3))
 def test_reduced_words_on_drawn_generators(drawn, n):
     letters = symmetric_letters(dict(zip("abc", drawn[1][:n])))
-    got = [(word, tables(value)) for word, value in walked(letters, 3)]
-    assert got == [(word, t) for word, t, known in reference_reduced_words(letters, 3) if known is None]
-    assert_walked_values(letters, 3)
+    depth = 3 if letters[0][1].k < 4 else 2  # four letters grow the largest values
+    got = [(word, tables(value)) for word, value in walked(letters, depth)]
+    assert got == [(word, t) for word, t, known in reference_reduced_words(letters, depth) if known is None]
+    assert_walked_values(letters, depth)
 
 
 @pytest.mark.parametrize("family", sorted(PRODUCT_FAMILIES))
@@ -369,6 +375,111 @@ def test_walked_values_act_as_their_words(family):
     assert_walked_values(symmetric_letters(PRODUCT_FAMILIES[family]), 4)
 
 
+# -- the binary kernel bodies -------------------------------------------------
+
+
+def generic_pair_quotient(gperms, gtrans, hperms, htrans, pairs) -> tuple:
+    """core._pair_quotient with its generic letter loop at every alphabet
+    size, the reference for the body it takes on two letters."""
+    k, m = len(hperms[0]), len(hperms)
+    index, order, firsts = {0: 0}, [], []
+    for p, q in pairs:
+        pair = p * m + q
+        if pair not in index:
+            index[pair] = len(index)
+            order.append(pair)
+        firsts.append(index[pair])
+    perms, cols = [tuple(range(k))], [[0] for _ in range(k)]
+    for pair in order:
+        p, q = divmod(pair, m)
+        gperm, grow, hperm, hrow = gperms[p], gtrans[p], hperms[q], htrans[q]
+        perms.append(tuple([gperm[y] for y in hperm]))
+        for x, col in enumerate(cols):
+            nxt = grow[hperm[x]] * m + hrow[x]
+            t = index.get(nxt)
+            if t is None:
+                t = index[nxt] = len(index)
+                order.append(nxt)
+            col.append(t)
+    table: dict = {}
+    ids = [table.setdefault(p, len(table)) for p in perms]
+    while len(table) < len(perms):
+        table2: dict = {}
+        sigs = zip(ids, *[[ids[t] for t in col] for col in cols])
+        new = [table2.setdefault(sig, len(table2)) for sig in sigs]
+        if len(table2) == len(table):
+            break
+        ids, table = new, table2
+    return perms, cols, ids, firsts
+
+
+def generic_renumbered(perms, trans, s: int) -> tuple:
+    """The tables core._renumbered reads off state s, by its generic letter
+    loop at every alphabet size."""
+    if s == 0:
+        return (perms[0],), (trans[0],), 0
+    number, order = {0: 0, s: 1}, [s]
+    new_perms, new_trans = [perms[0]], [trans[0]]
+    for t in order:
+        row = []
+        for u in trans[t]:
+            v = number.get(u)
+            if v is None:
+                v = number[u] = len(number)
+                order.append(u)
+            row.append(v)
+        new_perms.append(perms[t])
+        new_trans.append(tuple(row))
+    return tuple(new_perms), tuple(new_trans), 1
+
+
+def assert_binary_bodies(gperms, gtrans, hperms, htrans, pairs):
+    """Both kernels on two letters give the generic loops' tables: the
+    walk's (perms, cols, ids, firsts), and every block read off its rows."""
+    got = core._pair_quotient(gperms, gtrans, hperms, htrans, pairs)
+    assert got == generic_pair_quotient(gperms, gtrans, hperms, htrans, pairs)
+    perms, trans = core._quotient_rows(*got[:3])
+    for b in range(len(perms)):
+        assert tables(core._renumbered(2, perms, trans, b)) == generic_renumbered(perms, trans, b), b
+
+
+@PROPERTIES
+@given(st.lists(machines(2), min_size=3, max_size=3), st.data())
+def test_binary_bodies_on_drawn_machines(decls, data):
+    g, h, f = (Automorphism.from_states(2, *d) for d in decls)
+    hperms, htrans, starts = core._right_machine([identity(2), h, f, g.inverse(), compose(h, f)])
+    for left in (g, compose(g, f)):
+        for start in starts:  # compose's walks: one start each
+            assert_binary_bodies(left.perms, left.trans, hperms, htrans, [(left.initial, start)])
+        # the ball's and the closure's: many starts, repeats and seeds (b, 0)
+        ps = data.draw(st.lists(st.integers(0, left.state_count - 1), min_size=1, max_size=6))
+        pairs = [(p, data.draw(st.sampled_from(starts))) for p in ps] + [(p, 0) for p in ps]
+        assert_binary_bodies(left.perms, left.trans, hperms, htrans, pairs)
+        for s in range(left.state_count):
+            assert tables(left._with_initial(s)) == generic_renumbered(left.perms, left.trans, s)
+
+
+BINARY_FAMILIES = sorted(name for name, family in builtin().items() if family.alphabet == 2)
+
+
+@pytest.mark.parametrize("family", BINARY_FAMILIES)
+def test_binary_bodies_on_every_ball_layer(family, monkeypatch):
+    walks = []
+    pair_quotient = core._pair_quotient
+
+    def recording(*args):
+        walks.append(args)
+        return pair_quotient(*args)
+
+    monkeypatch.setattr(core, "_pair_quotient", recording)
+    for _ in _reduced_words(symmetric_letters(builtin()[family].generators), 4):
+        pass
+    monkeypatch.undo()
+    assert walks
+    for args in walks:
+        assert_binary_bodies(*args)
+
+
 # -- level actions and level graphs --------------------------------------------
 
 
@@ -391,6 +502,8 @@ def encode(v: tuple, k: int) -> int:
 def test_level_action(drawn):
     g = compose(*drawn[1][:2])
     for n in range(8):
+        if g.k ** n > 3 ** 7:  # four letters stop at level 5
+            break
         images, states = level_action(g, n)
         verts = words(g.k, n)
         assert images == [encode(g.apply(v), g.k) for v in verts]
