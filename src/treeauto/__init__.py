@@ -8,16 +8,17 @@ at rays, level graphs with Folner candidates, and relator searches.
 Importing the package loads nucleus and the core and words modules it
 needs; every other module loads the first time one of its names is read
 (PEP 562), so a caller pays only for what it uses.
+
+`treeauto.nucleus` is the function nucleus, bound at import, and never
+the submodule of that name, which a lazy export would turn into once
+anything imported it.  So setting an attribute on treeauto.nucleus
+patches nothing the module reads; the submodule is
+`importlib.import_module("treeauto.nucleus")`.
 """
 
 from importlib import import_module
 
-# `nucleus` names both a submodule and the function exported here.  The
-# import system binds a submodule on its package when it first loads it, and
-# __getattr__ never sees a bound name, so a lazily exported `nucleus` would
-# read as the module as soon as anything imported treeauto.nucleus.  Binding
-# the function now keeps it; core and words load with it either way.
-from .nucleus import nucleus
+from .nucleus import nucleus  # the function (module docstring)
 
 # the public names, by defining module
 _EXPORTS = {

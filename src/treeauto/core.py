@@ -50,27 +50,28 @@ the quotient rows for each new value; ball reads every one of them off,
 the ray stabilizers only those that fix the ray.
 
 Every value that needs minimizing comes from that walk; sections and
-inverses need only the renumbering above.  Sections, inverses and
-products share that one renumbering (_renumbered), a product taking it
-on the quotient rows of its walk.  A declared machine
+inverses need only the renumbering above.  All three share one read-off
+(_renumbered), a product taking it on the quotient rows of its walk.  It
+numbers states through a list with one entry per state of the tables,
+-1 until the state is met and then its number (0 for state 0), and it
+resets what it wrote before it returns: every read-off of one set of
+tables (a ball layer, a closure batch, the sections of one value) shares
+one list, and a one-off read-off makes its own.  A declared machine
 (from_states) is the product of the identity with its tables: the pairs
 (0, s) reachable from (0, initial) are exactly the declared states that
 initial reaches, numbered breadth-first.
 
-The walk and the renumbering each have two bodies, chosen by the
-alphabet alone: on two letters, the alphabet of most of the catalog, the
-letter loop is written out, since at that size the loop itself (a
-per-letter enumerate, a list per pair or per row) costs more than the
-lookups it drives.  The binary body meets pairs and states in the order
-of the generic one, letter 0's successor before letter 1's, so it builds
-the same tables, block numbers and breadth-first numbering; larger
-alphabets take the generic loop.
+The walk and the read-off each have two bodies, chosen by the alphabet
+alone: on two letters, the alphabet of most of the catalog, the letter
+loop is written out, since there the loop itself costs more than the
+lookups it drives.  Both bodies build the same tables.
 
 Composition is right to left throughout: (compose(g, h))(v) = g(h(v)).
 """
 
 from __future__ import annotations
 
+import operator
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .words import Word
@@ -99,15 +100,20 @@ class BudgetExceeded(RuntimeError):
 def vertex(v: VertexLike) -> tuple[int, ...]:
     """Coerce a vertex to a tuple of letters.
 
-    Accepts int sequences and strings of the ASCII digits 0-9 ("011" means
-    the vertex 0,1,1).  Alphabets with more than ten letters need the
-    sequence form.  Negative letters and other characters are rejected
-    here, letters past the alphabet by the action.
+    Accepts sequences of ints (items with __index__) and strings of the
+    ASCII digits 0-9 ("011" means the vertex 0,1,1); more than ten letters
+    need the sequence form.  Negative letters and other items or characters
+    are rejected here, letters past the alphabet by the action.
     """
     if isinstance(v, str) and v and not (v.isascii() and v.isdigit()):
         bad = next(c for c in v if c not in "0123456789")
         raise ValueError("non-digit character %r in vertex %r" % (bad, v))
-    out = tuple(map(int, v))
+    items = tuple(v)
+    try:
+        out = tuple(map(int if isinstance(v, str) else operator.index, items))
+    except TypeError:
+        bad = next(x for x in items if not hasattr(type(x), "__index__"))
+        raise ValueError("non-integer letter %r in vertex %r" % (bad, v)) from None
     if out and min(out) < 0:
         raise ValueError("negative letter %d in vertex %r" % (min(out), v))
     return out
@@ -265,11 +271,12 @@ class Automorphism:
         # the product of the identity with the declared tables (module docstring)
         return _product(e, perms, trans, index[initial])
 
-    def _with_initial(self, s: int) -> "Automorphism":
-        """The section at state s, by renumbering alone (module docstring)."""
+    def _with_initial(self, s: int, mark=None) -> "Automorphism":
+        """The section at state s, by renumbering alone (module docstring),
+        through the caller's _marks list of these tables when it reads many."""
         if s == self.initial:
             return self
-        return _renumbered(self.k, self.perms, self.trans, s)
+        return _renumbered(self.k, self.perms, self.trans, mark or _marks(len(self.perms)), s)
 
     # -- value semantics -------------------------------------------------
 
@@ -358,7 +365,7 @@ class Automorphism:
         """The inverse, by renumbering alone (module docstring)."""
         perms = [_perm_inverse(p) for p in self.perms]
         trans = [tuple([row[y] for y in inv]) for row, inv in zip(self.trans, perms)]
-        return _renumbered(self.k, perms, trans, self.initial)
+        return _renumbered(self.k, perms, trans, _marks(len(perms)), self.initial)
 
     def __invert__(self) -> "Automorphism":
         return self.inverse()
@@ -435,7 +442,8 @@ def _product(g: Automorphism, hperms, htrans, start: int) -> Automorphism:
     # pair exactly when every block is a single pair
     if first == 1 and ids[-1] == len(ids) - 1:
         return Automorphism(k, tuple(perms), tuple(zip(*cols)), 1, _raw=True)
-    return _renumbered(k, *_quotient_rows(perms, cols, ids), ids[first])
+    perms, trans = _quotient_rows(perms, cols, ids)
+    return _renumbered(k, perms, trans, _marks(len(perms)), ids[first])
 
 
 def _pair_quotient(gperms, gtrans, hperms, htrans, pairs) -> tuple[list, list, list, list]:
@@ -524,7 +532,8 @@ def _right_machine(values) -> tuple[list, list, list]:
     number: dict = {}
     perms, trans, starts = [], [], []
     for a in values:
-        local = [number.setdefault(a._with_initial(s), len(number)) for s in range(a.state_count)]
+        mark = _marks(a.state_count)
+        local = [number.setdefault(a._with_initial(s, mark), len(number)) for s in range(a.state_count)]
         for s, u in enumerate(local):
             if u == len(perms):  # new states come in increasing order
                 perms.append(a.perms[s])
@@ -533,39 +542,46 @@ def _right_machine(values) -> tuple[list, list, list]:
     return perms, trans, starts
 
 
-def _renumbered(k: int, perms, trans, s: int) -> Automorphism:
-    """The automorphism at state s of a minimal machine's tables, its
-    states numbered breadth-first as in the module docstring, each row
-    built as its state is reached; state 0 gives the identity."""
+def _marks(n: int) -> list[int]:
+    """A fresh mark list for _renumbered on tables of n states."""
+    return [0] + [-1] * (n - 1)
+
+
+def _renumbered(k: int, perms, trans, mark: list[int], s: int) -> Automorphism:
+    """The automorphism at state s of a minimal machine's tables, numbered
+    breadth-first through `mark`, a _marks list of the tables (module
+    docstring); state 0 gives the identity."""
     if s == 0:
         return Automorphism.identity(k)
-    number = {0: 0, s: 1}
+    mark[s] = 1
     order = [s]
-    new_perms, new_trans = [perms[0]], [trans[0]]
+    new_trans = [trans[0]]
     if k == 2:  # the generic body below, its letter loop unrolled
         for t in order:  # the list grows while it is walked
             a, b = trans[t]
-            x = number.get(a)
-            if x is None:
-                x = number[a] = len(number)
+            x = mark[a]
+            if x < 0:
                 order.append(a)
-            y = number.get(b)
-            if y is None:
-                y = number[b] = len(number)
+                x = mark[a] = len(order)
+            y = mark[b]
+            if y < 0:
                 order.append(b)
-            new_perms.append(perms[t])
+                y = mark[b] = len(order)
             new_trans.append((x, y))
     else:
         for t in order:  # the list grows while it is walked
             row = []
             for u in trans[t]:
-                v = number.get(u)
-                if v is None:
-                    v = number[u] = len(number)
+                v = mark[u]
+                if v < 0:
                     order.append(u)
+                    v = mark[u] = len(order)
                 row.append(v)
-            new_perms.append(perms[t])
             new_trans.append(tuple(row))
+    new_perms = [perms[0]]
+    for t in order:
+        mark[t] = -1
+        new_perms.append(perms[t])
     return Automorphism(k, tuple(new_perms), tuple(new_trans), 1, _raw=True)
 
 
@@ -687,7 +703,7 @@ def evaluate_word(gens: Mapping[str, Automorphism], word: Union[Word, str]) -> A
 
 def _reduced_words(letters, max_len: int):
     """Walk reduced words over `letters` in length order, up to max_len, and
-    yield (word, block, rows) for each word whose value is new.
+    yield (word, block, tables) for each word whose value is new.
 
     Words grow by one letter on the right, skipping the letter that cancels
     the last one, so each word yielded is the first, hence a shortest, word
@@ -697,10 +713,10 @@ def _reduced_words(letters, max_len: int):
     per element new in the last layer, and then one seed (b, 0) per element
     met so far, the identity first.  In one walk a block is a value, so a
     child whose block a seed or an earlier child holds is known, with no
-    value read off and no value hashed.  rows are the layer's quotient
-    rows, one per block, which are the next layer's left machine; a new
-    element's value is _renumbered(k, *rows, block), read off only by a
-    consumer that needs it.
+    value read off and no value hashed.  tables are the layer's quotient
+    rows, one per block (the next layer's left machine), and the layer's
+    one mark list; a new element's value is _renumbered(k, *tables,
+    block), read off only by a consumer that needs it.
     """
     k = letters[0][1].k
     hperms, htrans, hstarts = _right_machine([g for _, g in letters])
@@ -716,6 +732,7 @@ def _reduced_words(letters, max_len: int):
         starts = [(b, hstarts[i]) for _, b, i in children] + [(b, 0) for b in met]
         perms, cols, ids, firsts = _pair_quotient(*rows, hperms, htrans, starts)
         rows = _quotient_rows(perms, cols, ids)
+        tables = (*rows, _marks(len(rows[0])))  # shared by every read-off of the layer
         met = [ids[f] for f in firsts[len(children) :]]
         held = bytearray(len(rows[0]))  # 1 for a block of a known element
         for b in met:
@@ -728,7 +745,7 @@ def _reduced_words(letters, max_len: int):
                 met.append(b)
                 child = word + (letters[i][0],)
                 layer.append((child, b))
-                yield Word._reduced(child), b, rows
+                yield Word._reduced(child), b, tables
         if not layer:
             return
 

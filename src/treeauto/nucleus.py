@@ -61,6 +61,7 @@ from .core import (
     BoundaryPoint,
     BudgetExceeded,
     _alphabet,
+    _marks,
     _pair_quotient,
     _quotient_rows,
     _ray_walk,
@@ -77,7 +78,8 @@ from .words import Word
 
 def limit_states(g: Automorphism) -> set[Automorphism]:
     """Sections of g that occur at arbitrarily large depths (module docstring)."""
-    return {g._with_initial(s) for s in _deep_states(g.trans, g.initial)}
+    mark = _marks(g.state_count)
+    return {g._with_initial(s, mark) for s in _deep_states(g.trans, g.initial)}
 
 
 def _deep_states(trans, start: int) -> list[int]:
@@ -170,6 +172,7 @@ def nucleus(
             starts = [(p, q) for p in batch for q in rows if p >= swept or q >= swept]
             perms, cols, ids, firsts = _pair_quotient(mperms, mtrans, mperms, mtrans, starts + seeds)
             bperms, btrans = _quotient_rows(perms, cols, ids)
+            mark = _marks(len(bperms))
             # the seed (s, 0) is member s; any other block's value is built once
             built = {ids[f]: value[s] for s, f in enumerate(firsts[len(starts) :])}
             settled = set(built)  # blocks whose sections all lie in N or fresh
@@ -183,7 +186,7 @@ def nucleus(
                 limits = set()  # limit_states(compose(g, h)), inserted in its order
                 for b in deep:
                     if b not in built:
-                        built[b] = _renumbered(k, bperms, btrans, b)
+                        built[b] = _renumbered(k, bperms, btrans, mark, b)
                         block[built[b]] = b
                     limits.add(built[b])
                 settled.update(deep)
@@ -244,13 +247,13 @@ def _ball_walk(gens: Mapping[str, Automorphism], max_len: int, budget: int, elem
     value, word = identity(k), Word(())
     yield value, word
     elements[value] = word
-    for word, b, rows in _reduced_words(letters, max_len):
+    for word, b, tables in _reduced_words(letters, max_len):
         if len(elements) >= budget:
             raise BudgetExceeded(
                 "ball budget of %d elements exhausted" % budget,
                 partial=elements, budget="ball", spent=len(elements) + 1, limit=budget,
             )
-        value = _renumbered(k, *rows, b)
+        value = _renumbered(k, *tables, b)
         yield value, word
         elements[value] = word
 
@@ -398,7 +401,7 @@ def _stabilizers(gens: Mapping[str, Automorphism], max_len: int, budget: int, po
     e = identity(k)
     stabs = [[(Word(()), e, _germ(e, p))] for p in points]  # checks the points' letters
     size, longest = 1, 0  # the elements met, the identity first, and their longest word
-    for word, b, (perms, trans) in _reduced_words(letters, max_len):
+    for word, b, (perms, trans, mark) in _reduced_words(letters, max_len):
         if size >= budget:  # raises as ball does, with the partial map of the values it read
             ball(gens, max_len, budget)
         size += 1
@@ -407,7 +410,7 @@ def _stabilizers(gens: Mapping[str, Automorphism], max_len: int, budget: int, po
         for p, stab in zip(points, stabs):
             if _germ_of(*_ray_walk(perms, trans, b, p), p) is not None:
                 if value is None:
-                    value = _renumbered(k, perms, trans, b)
+                    value = _renumbered(k, perms, trans, mark, b)
                 stab.append((word, value, _germ(value, p)))
     return stabs, longest < max_len
 

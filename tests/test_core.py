@@ -48,6 +48,21 @@ def test_vertex_strings_take_ascii_digits_only(text, char):
     assert str(info.value) == "non-digit character %r in vertex %r" % (char, text)
 
 
+def test_vertex_items_must_be_integers():
+    # int() would truncate a float letter and read a non-ASCII digit string as
+    # its digit, so each of these once acted as another vertex with no error
+    cases = [
+        (lambda: vertex([1.7, 0]), 1.7),
+        (lambda: vertex(["٣"]), "٣"),
+        (lambda: ADDING["a"].apply([1.9, 0.2]), 1.9),
+        (lambda: BoundaryPoint([0.5], [1.2]), 0.5),
+    ]
+    for call, item in cases:
+        with pytest.raises(ValueError, match="non-integer letter %r in vertex" % item):
+            call()
+    assert vertex((True, 0)) == (1, 0) and vertex(iter([1, 0])) == (1, 0)
+
+
 def test_bad_letters_are_rejected():
     a = ADDING["a"]
     with pytest.raises(ValueError):

@@ -27,6 +27,11 @@ letter loop written out; a copy of the generic loops kept here must give
 the same tables, block numbers and numbering on drawn binary machines,
 with one start and with many, and on every layer of the catalog's
 binary balls.
+The renumbering numbers states through a mark list that many read-offs
+of one set of tables share; the dict read-off it replaced, kept here,
+must give the same tables on drawn machines of two to four letters, on
+their sections and inverses, and on every block of every layer of the
+catalog's balls, and each call must leave the list as it found it.
 Sections, inverses, compose and the ball all end in one renumbering
 (core._renumbered), so that comparison would miss a numbering fault
 they share; every walked value and every section of one is therefore
@@ -56,6 +61,7 @@ earlier analyses, one graph pass per question, kept here as a reference.
 """
 
 import itertools
+import random
 from collections import deque
 from contextlib import contextmanager
 from fractions import Fraction
@@ -283,7 +289,7 @@ def walked(letters, max_len: int) -> list:
     """(word, value) of each new element of the ball walk, every value read
     off its block."""
     k = letters[0][1].k
-    return [(word, core._renumbered(k, *rows, b)) for word, b, rows in _reduced_words(letters, max_len)]
+    return [(word, core._renumbered(k, *read, b)) for word, b, read in _reduced_words(letters, max_len)]
 
 
 def reference_reduced_words(letters, max_len: int) -> list:
@@ -375,7 +381,7 @@ def test_walked_values_act_as_their_words(family):
     assert_walked_values(symmetric_letters(PRODUCT_FAMILIES[family]), 4)
 
 
-# -- the binary kernel bodies -------------------------------------------------
+# -- the binary kernel bodies and the read-off's mark list ---------------------
 
 
 def generic_pair_quotient(gperms, gtrans, hperms, htrans, pairs) -> tuple:
@@ -413,9 +419,10 @@ def generic_pair_quotient(gperms, gtrans, hperms, htrans, pairs) -> tuple:
     return perms, cols, ids, firsts
 
 
-def generic_renumbered(perms, trans, s: int) -> tuple:
-    """The tables core._renumbered reads off state s, by its generic letter
-    loop at every alphabet size."""
+def dict_renumbered(perms, trans, s: int) -> tuple:
+    """The tables core._renumbered reads off state s, by the read-off it
+    replaced: states numbered through a fresh dict, by the generic letter
+    loop at every alphabet size.  The reference for both of its bodies."""
     if s == 0:
         return (perms[0],), (trans[0],), 0
     number, order = {0: 0, s: 1}, [s]
@@ -433,14 +440,28 @@ def generic_renumbered(perms, trans, s: int) -> tuple:
     return tuple(new_perms), tuple(new_trans), 1
 
 
+def assert_unmarked(mark: list):
+    """The mark list as core._marks makes it: -1 everywhere but mark[0] == 0."""
+    assert mark[0] == 0 and mark.count(-1) == len(mark) - 1
+
+
+def assert_read_off(k: int, perms, trans, mark: list, s: int):
+    """core._renumbered at state s through `mark` gives the dict read-off's
+    tables and leaves the list as it found it."""
+    assert tables(core._renumbered(k, perms, trans, mark, s)) == dict_renumbered(perms, trans, s), s
+    assert_unmarked(mark)
+
+
 def assert_binary_bodies(gperms, gtrans, hperms, htrans, pairs):
-    """Both kernels on two letters give the generic loops' tables: the
-    walk's (perms, cols, ids, firsts), and every block read off its rows."""
+    """Both kernels on two letters give the reference tables: the walk's
+    (perms, cols, ids, firsts), and every block read off its rows through
+    one shared mark list."""
     got = core._pair_quotient(gperms, gtrans, hperms, htrans, pairs)
     assert got == generic_pair_quotient(gperms, gtrans, hperms, htrans, pairs)
     perms, trans = core._quotient_rows(*got[:3])
+    mark = core._marks(len(perms))
     for b in range(len(perms)):
-        assert tables(core._renumbered(2, perms, trans, b)) == generic_renumbered(perms, trans, b), b
+        assert_read_off(2, perms, trans, mark, b)
 
 
 @PROPERTIES
@@ -456,7 +477,7 @@ def test_binary_bodies_on_drawn_machines(decls, data):
         pairs = [(p, data.draw(st.sampled_from(starts))) for p in ps] + [(p, 0) for p in ps]
         assert_binary_bodies(left.perms, left.trans, hperms, htrans, pairs)
         for s in range(left.state_count):
-            assert tables(left._with_initial(s)) == generic_renumbered(left.perms, left.trans, s)
+            assert tables(left._with_initial(s)) == dict_renumbered(left.perms, left.trans, s)
 
 
 BINARY_FAMILIES = sorted(name for name, family in builtin().items() if family.alphabet == 2)
@@ -478,6 +499,45 @@ def test_binary_bodies_on_every_ball_layer(family, monkeypatch):
     assert walks
     for args in walks:
         assert_binary_bodies(*args)
+
+
+@PROPERTIES
+@given(triples(), st.data())
+def test_read_off_against_the_dict_read_off(drawn, data):
+    """Every state of a value read through one shared mark list in a drawn
+    order, and the one-off read-offs of sections and inverses, against the
+    dict read-off, on two to four letters."""
+    g, h, _ = drawn[1]
+    for a in (g, h, compose(g, h)):
+        n = a.state_count
+        mark = core._marks(n)
+        for s in data.draw(st.permutations(range(n))):
+            assert_read_off(a.k, a.perms, a.trans, mark, s)
+        for s in range(n):  # sections, on their own list and on the shared one
+            want = dict_renumbered(a.perms, a.trans, s)
+            assert tables(a._with_initial(s)) == want and tables(a._with_initial(s, mark)) == want, s
+            assert_unmarked(mark)
+        perms = [core._perm_inverse(p) for p in a.perms]
+        trans = [tuple([row[y] for y in inv]) for row, inv in zip(a.trans, perms)]
+        assert tables(a.inverse()) == dict_renumbered(perms, trans, a.initial)
+
+
+@pytest.mark.parametrize("family", sorted(builtin()))
+def test_read_off_on_every_ball_layer(family):
+    """Every block of every layer of the ball walk to radius 4, read through
+    the one mark list the walk hands over with the layer's rows, in a
+    shuffled order, against the dict read-off."""
+    letters = symmetric_letters(builtin()[family].generators)
+    k, rng, last = letters[0][1].k, random.Random(family), None
+    for _, _, read in _reduced_words(letters, 4):
+        perms, trans, mark = read
+        assert_unmarked(mark)
+        if read is not last:
+            last = read
+            blocks = list(range(len(perms)))
+            rng.shuffle(blocks)
+            for b in blocks:
+                assert_read_off(k, perms, trans, mark, b)
 
 
 # -- level actions and level graphs --------------------------------------------

@@ -37,6 +37,26 @@ def test_nucleus_stays_the_function_after_its_module_loads():
     assert proc.stdout == "True True treeauto.nucleus\n"
 
 
+def test_the_nucleus_module_is_patched_through_import_module(monkeypatch):
+    # treeauto.nucleus is the function, so an attribute set on it reaches
+    # nothing that ball reads; import_module gives the submodule itself
+    module = import_module("treeauto.nucleus")
+    assert module is not treeauto.nucleus and module.nucleus is treeauto.nucleus
+    renumbered, calls = module._renumbered, []
+
+    def counting(*args):
+        calls.append(args)
+        return renumbered(*args)
+
+    gens = treeauto.entry("grigorchuk").generators
+    monkeypatch.setattr(treeauto.nucleus, "_renumbered", counting, raising=False)
+    treeauto.ball(gens, 2)
+    assert calls == []
+    monkeypatch.setattr(module, "_renumbered", counting)
+    treeauto.ball(gens, 2)
+    assert calls
+
+
 def test_import_loads_only_nucleus_and_what_it_needs():
     code = (
         "import sys, treeauto\n"
