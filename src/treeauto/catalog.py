@@ -215,6 +215,8 @@ def tullio_integer_action(word: Union[Word, str], n: int) -> int:
 
 def encode_integer(n: int, depth: int) -> tuple[int, ...]:
     """The LSB-first binary vertex of length `depth` for 0 <= n < 2**depth."""
+    if depth < 0:
+        raise ValueError("depth must be nonnegative")
     if not 0 <= n < (1 << depth):
         raise ValueError("%d does not fit in %d bits" % (n, depth))
     return tuple((n >> i) & 1 for i in range(depth))
@@ -234,10 +236,10 @@ def integer_tree_crosscheck(word: Union[Word, str], n: int, depth: int) -> bool:
     integer image escapes the range, which is the caller's cue to raise
     `depth`.  Negative inputs are out of scope.
     """
-    image = tullio_integer_action(word, n)
+    v, image = encode_integer(n, depth), tullio_integer_action(word, n)
     if not 0 <= image < (1 << depth):
         raise ValueError(
             "depth overflow: %d maps to %d, outside %d bits" % (n, image, depth)
         )
     g = evaluate_word(builtin()["tullio"].generators, word)
-    return decode_integer(apply(g, encode_integer(n, depth))) == image
+    return decode_integer(apply(g, v)) == image

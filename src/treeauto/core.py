@@ -59,7 +59,8 @@ tables (a ball layer, a closure batch, the sections of one value) shares
 one list, and a one-off read-off makes its own.  A declared machine
 (from_states) is the product of the identity with its tables: the pairs
 (0, s) reachable from (0, initial) are exactly the declared states that
-initial reaches, numbered breadth-first.
+initial reaches, numbered breadth-first.  A right machine (_right_machine)
+is the same product over the union of its values' tables, from every state.
 
 The walk and the read-off each have two bodies, chosen by the alphabet
 alone: on two letters, the alphabet of most of the catalog, the letter
@@ -187,12 +188,7 @@ class BoundaryPoint:
     def prefix(self, n: int) -> tuple[int, ...]:
         if n < 0:
             raise ValueError("prefix length must be nonnegative")
-        out = []
-        for x in self.letters():
-            if len(out) == n:
-                break
-            out.append(x)
-        return tuple(out)
+        return (self.preperiod + self.period * n)[:n]
 
     def tail(self, n: int) -> "BoundaryPoint":
         """The ray with its first n letters removed."""
@@ -525,21 +521,20 @@ def _pair_quotient(gperms, gtrans, hperms, htrans, pairs) -> tuple[list, list, l
 
 
 def _right_machine(values) -> tuple[list, list, list]:
-    """(perms, trans, starts): one machine holding every state of every
-    value, states of equal value merged, so state 0 is the identity and
-    starts[i] is the state of values[i].  States are numbered in the order
-    the values and their states are met, whatever the hash order."""
-    number: dict = {}
-    perms, trans, starts = [], [], []
+    """(perms, trans, starts): the states of all values in one machine, equal
+    states merged, state 0 the identity and starts[i] the state of values[i];
+    the product of the identity with the union of their tables (module docstring)."""
+    e = Automorphism.identity(next(iter(values)).k)
+    perms, trans, roots = list(e.perms), list(e.trans), []
     for a in values:
-        mark = _marks(a.state_count)
-        local = [number.setdefault(a._with_initial(s, mark), len(number)) for s in range(a.state_count)]
-        for s, u in enumerate(local):
-            if u == len(perms):  # new states come in increasing order
-                perms.append(a.perms[s])
-                trans.append(tuple([local[t] for t in a.trans[s]]))
-        starts.append(local[a.initial])
-    return perms, trans, starts
+        base = len(perms) - 1  # state s > 0 of a is union state s + base
+        perms += a.perms[1:]
+        trans += [tuple([t and t + base for t in row]) for row in a.trans[1:]]
+        roots.append(a.initial and a.initial + base)
+    # from every (0, u): no other pair is met, (0, u) is pair u, and blocks are
+    # numbered as first met, value by value in state order, whatever the hash order
+    qperms, cols, ids, _ = _pair_quotient(e.perms, e.trans, perms, trans, [(0, u) for u in range(len(perms))])
+    return (*_quotient_rows(qperms, cols, ids), [ids[u] for u in roots])
 
 
 def _marks(n: int) -> list[int]:

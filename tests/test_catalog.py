@@ -98,6 +98,13 @@ def test_crosscheck_depth_overflow():
         integer_tree_crosscheck("b", -1, depth=4)
 
 
+def test_negative_depth_is_rejected():
+    with pytest.raises(ValueError, match="depth must be nonnegative"):
+        encode_integer(3, -1)
+    with pytest.raises(ValueError, match="depth must be nonnegative"):
+        integer_tree_crosscheck("a", 3, -1)
+
+
 def test_expected_metadata_is_present():
     for name, ent in builtin().items():
         assert ent.generators, name

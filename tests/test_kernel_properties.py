@@ -16,8 +16,12 @@ Sections read off by renumbering alone (Automorphism._with_initial) must
 equal the canonicalizing build of the same state, on drawn machines and on
 catalog words; inverses, also renumbered alone, must be canonical there.
 
-The product read off a pair walk from any state of a right machine
-(core._product) must equal compose and be canonical.  The ball walk, one
+The right machine, one pair walk of the identity with the union of its
+values' tables (core._right_machine), must give the tables and states of
+the per-state read-off it replaced, kept here, on drawn value lists and on
+the catalog's letters, generators and nuclei; on a large generator it must
+read nothing off.  The product read off a pair walk from any state of a
+right machine (core._product) must equal compose and be canonical.  The ball walk, one
 pair walk per layer (core._reduced_words), must give the new elements of
 a walk composing once per word, in its order, each value read off its
 block, on the catalog and on drawn generators; every word it yields must
@@ -62,6 +66,7 @@ earlier analyses, one graph pass per question, kept here as a reference.
 
 import itertools
 import random
+import time
 from collections import deque
 from contextlib import contextmanager
 from fractions import Fraction
@@ -102,6 +107,7 @@ from treeauto.freeness import (
     find_relations,
     free_subgroup_certificate,
 )
+from treeauto.machine_io import dump_machine, parse_machine
 from treeauto.nucleus import (
     GermGroupReport,
     _germ,
@@ -110,6 +116,7 @@ from treeauto.nucleus import (
     ball,
     germ_is_trivial,
     limit_states,
+    nucleus,
     stabilizes,
 )
 from treeauto.schreier import (
@@ -283,6 +290,80 @@ def test_products_equal_compose(drawn):
             assert_canonical(product)
         # compose's case: the right factor's own tables
         assert tables(core._product(left, h.perms, h.trans, h.initial)) == tables(compose(left, h))
+
+
+def reference_right_machine(values) -> tuple[list, list, list]:
+    """The right machine as it was built before it was a pair walk: one
+    value read off per state of every value, merged through a value-keyed
+    dict, numbered in the order the values and their states are met."""
+    number: dict = {}
+    perms, trans, starts = [], [], []
+    for a in values:
+        mark = core._marks(a.state_count)
+        local = [number.setdefault(a._with_initial(s, mark), len(number)) for s in range(a.state_count)]
+        for s, u in enumerate(local):
+            if u == len(perms):  # new states come in increasing order
+                perms.append(a.perms[s])
+                trans.append(tuple([local[t] for t in a.trans[s]]))
+        starts.append(local[a.initial])
+    return perms, trans, starts
+
+
+@st.composite
+def value_lists(draw):
+    """One to five values on one alphabet of two to four letters, drawn
+    with repeats from two drawn machines, their inverses, their product and
+    the identity."""
+    k = draw(st.sampled_from((2, 3, 4)))
+    g, h = (Automorphism.from_states(k, *draw(machines(k))) for _ in range(2))
+    pool = [identity(k), g, h, g.inverse(), h.inverse(), compose(g, h)]
+    return draw(st.lists(st.sampled_from(pool), min_size=1, max_size=5))
+
+
+@PROPERTIES
+@given(value_lists())
+def test_right_machine_against_the_reference(values):
+    assert core._right_machine(values) == reference_right_machine(values)
+
+
+@pytest.mark.parametrize("family", sorted(builtin()))
+def test_right_machine_on_the_catalog(family):
+    """The family's symmetric letters, its generators and, when the closure
+    finds it, its nucleus's members in the closure's order."""
+    gens = builtin()[family].generators
+    lists = [[g for _, g in symmetric_letters(gens)], list(gens.values())]
+    found = nucleus(gens)
+    if found.status == "found":
+        lists.append(list(found.elements))
+    for values in lists:
+        assert core._right_machine(values) == reference_right_machine(values)
+
+
+def test_right_machine_of_a_large_generator(monkeypatch):
+    """A word value of 2,188 states: its right machine reads no value off,
+    and the ball and the machine file of the one generator stay fast (the
+    per-state read-off took seconds on each)."""
+    gens = entry("aleshin").generators
+    h = core.evaluate_word(gens, "a b c a b c a")
+    assert h.state_count == 2188
+    reads = []
+    renumbered = core._renumbered
+
+    def counting(*args):
+        reads.append(None)
+        return renumbered(*args)
+
+    monkeypatch.setattr(core, "_renumbered", counting)
+    start = time.perf_counter()
+    perms, trans, starts = core._right_machine([gens["a"], h, gens["b"]])
+    assert reads == []
+    monkeypatch.undo()
+    products = [core._product(identity(2), perms, trans, s) for s in starts]
+    assert products == [gens["a"], h, gens["b"]]
+    elements, _ = ball({"h": h}, 1)
+    assert set(elements) == {identity(2), h, h.inverse()}
+    assert parse_machine(dump_machine({"h": h}))["h"] == h
+    assert time.perf_counter() - start < 2.0
 
 
 def walked(letters, max_len: int) -> list:

@@ -485,7 +485,8 @@ def test_ball_takes_one_pair_walk_per_layer(pair_walks):
     gens = entry("aleshin").generators
     elements, closed = ball(gens, 4)
     assert len(elements) == 1 + 6 * (5**4 - 1) // 4 and not closed
-    assert len(pair_walks["walks"]) == 4
+    # the walk that merges the letters' states (core._right_machine), then one per layer
+    assert len(pair_walks["walks"]) == 1 + 4
     # one read-off per new non-identity element: in a free group every child is new
     assert len(pair_walks["reads"]) == 936
     assert pair_walks["products"] == []
@@ -515,8 +516,9 @@ def test_self_similarity_reads_off_only_what_it_consumed(monkeypatch, pair_walks
     monkeypatch.setattr(nucleus_module, "_reduced_words", counting_reduced_words)
     rep = is_self_similar(entry("basilica").generators, max_len=4, budget=5)
     assert rep.verdict == "yes"
-    # every witness has length 1, so the walk of the first layer serves them all
-    assert len(pair_walks["walks"]) == 1
+    # the letters' right machine takes one walk (core._right_machine); every
+    # witness has length 1, so the walk of the first layer serves them all
+    assert len(pair_walks["walks"]) == 1 + 1
     assert 0 < len(pair_walks["reads"]) <= len(consumed)
 
 
