@@ -49,6 +49,14 @@ nothing for the children it merges, and hands its consumers a block and
 the quotient rows for each new value; ball reads every one of them off,
 the ray stabilizers only those that fix the ray.
 
+Those three seed refinement with level keys (_level_keys), not root
+permutations: a pair's key is its action on one level, its right
+state's key translated through its left state's, and a layer's left
+keys are the last layer's block keys.  Equal values act alike on every
+level, so the blocks and their first-met numbers are the same; the keys
+only save rounds.  compose keeps the root permutations, as do alphabets
+over _SEED_POINTS letters.
+
 Every value that needs minimizing comes from that walk; sections and
 inverses need only the renumbering above.  All three share one read-off
 (_renumbered), a product taking it on the quotient rows of its walk.  It
@@ -433,7 +441,7 @@ def _product(g: Automorphism, hperms, htrans, start: int) -> Automorphism:
     its start is the identity pair.
     """
     k = g.k
-    perms, cols, ids, [first] = _pair_quotient(g.perms, g.trans, hperms, htrans, [(g.initial, start)])
+    perms, cols, ids, [first], _ = _pair_quotient(g.perms, g.trans, hperms, htrans, [(g.initial, start)])
     # first-met block numbers give ids[i] <= i, with equality at the last
     # pair exactly when every block is a single pair
     if first == 1 and ids[-1] == len(ids) - 1:
@@ -442,9 +450,9 @@ def _product(g: Automorphism, hperms, htrans, start: int) -> Automorphism:
     return _renumbered(k, perms, trans, _marks(len(perms)), ids[first])
 
 
-def _pair_quotient(gperms, gtrans, hperms, htrans, pairs) -> tuple[list, list, list, list]:
-    """(perms, cols, ids, firsts): the pair machine of two machines' tables
-    reachable from the start pairs, and its Moore refinement.
+def _pair_quotient(gperms, gtrans, hperms, htrans, pairs, keys=None) -> tuple[list, list, list, list, list]:
+    """(perms, cols, ids, firsts, block keys): the pair machine of two
+    machines' tables reachable from the start pairs, and its Moore refinement.
 
     Both machines share one alphabet and have the identity row as state 0.
     The pair (p, q) behaves as the product of the left state p with the
@@ -457,10 +465,12 @@ def _pair_quotient(gperms, gtrans, hperms, htrans, pairs) -> tuple[list, list, l
     identity pair (0, 0) as 0 and the start pairs first, which is
     breadth-first from the first start when it is the only one; perms[i]
     is pair i's root permutation, cols[x][i] its successor below letter x
-    and firsts[j] the number of pairs[j].  Refinement, seeded with the
-    root permutations, runs once over the whole machine: ids[i] is pair
-    i's block, numbered in the order blocks are first met, so block 0 is
-    the identity.
+    and firsts[j] the number of pairs[j].  Refinement runs once over the
+    whole machine: ids[i] is pair i's block, numbered in the order blocks
+    are first met, so block 0 is the identity.  It is seeded with the root
+    permutations, or given keys = (left, right) of _level_keys with each
+    pair's key, the right state's translated through the left state's;
+    the block keys are then returned, else None.
     """
     k, m = len(hperms[0]), len(hperms)
     # the pair (p, q) is keyed p * m + q, so (0, 0) is 0
@@ -508,8 +518,14 @@ def _pair_quotient(gperms, gtrans, hperms, htrans, pairs) -> tuple[list, list, l
                     order.append(nxt)
                 col.append(t)
     n = len(perms)
+    seeds = perms
+    if keys:  # pair (0, 0) is never walked, and its key is the identity's
+        gkeys, hkeys = keys
+        pad = _IDENTITY_KEY[len(hkeys[0]) :]  # the left keys as translate tables
+        gkeys = [key + pad for key in gkeys]
+        seeds = [hkeys[0], *[hkeys[pair % m].translate(gkeys[pair // m]) for pair in order]]
     table: dict = {}
-    ids = [table.setdefault(p, len(table)) for p in perms]
+    ids = [table.setdefault(seed, len(table)) for seed in seeds]
     while len(table) < n:
         table2: dict = {}
         sigs = zip(ids, *[[ids[t] for t in col] for col in cols])
@@ -517,7 +533,8 @@ def _pair_quotient(gperms, gtrans, hperms, htrans, pairs) -> tuple[list, list, l
         if len(table2) == len(table):
             break
         ids, table = new, table2
-    return perms, cols, ids, firsts
+    # equal keys within a block: one per block, in block order
+    return perms, cols, ids, firsts, keys and list(dict(zip(ids, seeds)).values())
 
 
 def _right_machine(values) -> tuple[list, list, list]:
@@ -533,8 +550,33 @@ def _right_machine(values) -> tuple[list, list, list]:
         roots.append(a.initial and a.initial + base)
     # from every (0, u): no other pair is met, (0, u) is pair u, and blocks are
     # numbered as first met, value by value in state order, whatever the hash order
-    qperms, cols, ids, _ = _pair_quotient(e.perms, e.trans, perms, trans, [(0, u) for u in range(len(perms))])
+    qperms, cols, ids, _, _ = _pair_quotient(e.perms, e.trans, perms, trans, [(0, u) for u in range(len(perms))])
     return (*_quotient_rows(qperms, cols, ids), [ids[u] for u in roots])
+
+
+# seed keys are actions on the deepest level with at most this many vertices
+_SEED_POINTS = 64
+_IDENTITY_KEY = bytes(range(256))  # the identity as a translate table
+
+
+def _level_keys(perms, trans):
+    """Each state's seed key for _pair_quotient: its action on level L, the
+    deepest with at most _SEED_POINTS vertices, as bytes (vertices base-k),
+    built up as level_action builds it; None when L would be 0."""
+    k = len(perms[0])
+    level = 0
+    while k ** (level + 1) <= _SEED_POINTS:
+        level += 1
+    if not level:
+        return None
+    rows, images = [t for row in trans for t in row], [y for perm in perms for y in perm]
+    keys, size = [b"\0"] * len(perms), 1
+    for _ in range(level):
+        # a child's images shifted by one translate: shift[y] adds y * size
+        shift = [_IDENTITY_KEY[y * size :] + _IDENTITY_KEY[: y * size] for y in range(k)]
+        pieces = map(bytes.translate, map(keys.__getitem__, rows), map(shift.__getitem__, images))
+        keys, size = list(map(b"".join, zip(*[pieces] * k))), size * k  # k pieces a state
+    return keys
 
 
 def _marks(n: int) -> list[int]:
@@ -715,17 +757,19 @@ def _reduced_words(letters, max_len: int):
     """
     k = letters[0][1].k
     hperms, htrans, hstarts = _right_machine([g for _, g in letters])
+    hkeys = _level_keys(hperms, htrans)
     # by a word's last letter (none for the empty word): its children's letter indices
     after = {(): range(len(letters))}
     for (name, sign), _ in letters:
         after[((name, sign),)] = [i for i, (letter, _) in enumerate(letters) if letter != (name, -sign)]
     rows = [tuple(range(k))], [(0,) * k]  # layer 0's quotient: the identity row
+    gkeys = hkeys and hkeys[:1]  # and its key, the identity's
     met = [0]  # the block of every element met so far, in the order met
     layer = [((), 0)]  # (letters, block) of each new element of the last layer
     for _ in range(max_len):
         children = [(word, b, i) for word, b in layer for i in after[word[-1:]]]
         starts = [(b, hstarts[i]) for _, b, i in children] + [(b, 0) for b in met]
-        perms, cols, ids, firsts = _pair_quotient(*rows, hperms, htrans, starts)
+        perms, cols, ids, firsts, gkeys = _pair_quotient(*rows, hperms, htrans, starts, hkeys and (gkeys, hkeys))
         rows = _quotient_rows(perms, cols, ids)
         tables = (*rows, _marks(len(rows[0])))  # shared by every read-off of the layer
         met = [ids[f] for f in firsts[len(children) :]]

@@ -64,6 +64,7 @@ from .core import (
     BoundaryPoint,
     BudgetExceeded,
     _distinct_words,
+    _level_keys,
     _pair_quotient,
     _quotient_rows,
     _right_machine,
@@ -160,7 +161,9 @@ def find_relations(
     letters = [letter for letter, _ in steps]
     inverse = {x: (x[0], -x[1]) if (x[0], -x[1]) in letters else x for x in letters}
     hperms, htrans, hstarts = _right_machine([g for _, g in steps])
-    perms, cols, ids = hperms[:1], [[0]] * len(hperms[0]), [0]  # length 0: the identity row
+    hkeys = _level_keys(hperms, htrans)
+    # length 0: the identity row, and its key
+    perms, cols, ids, keys = hperms[:1], [[0]] * len(hperms[0]), [0], hkeys and hkeys[:1]
     previous = {0: [()]}  # the last length's words by block
     trivial = set()
     for m in range(1, (max_len + 1) // 2 + 1):
@@ -169,7 +172,9 @@ def find_relations(
         children = [(b, x, s) for b in previous if m == 1 or b for x, s in zip(letters, hstarts)]
         starts = [(b, s) for b, _, s in children] + [(b, 0) for b in previous]
         gperms, gtrans = _quotient_rows(perms, cols, ids)  # length m - 1's quotient
-        perms, cols, ids, firsts = _pair_quotient(gperms, gtrans, hperms, htrans, starts)
+        perms, cols, ids, firsts, keys = _pair_quotient(
+            gperms, gtrans, hperms, htrans, starts, hkeys and (keys, hkeys)
+        )
         classes: dict[int, list] = {}  # this length's words by block
         for (b, x, _), f in zip(children, firsts):
             grown = [w + (x,) for w in previous[b] if not w or w[-1] != (x[0], -x[1])]

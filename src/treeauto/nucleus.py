@@ -61,6 +61,7 @@ from .core import (
     BoundaryPoint,
     BudgetExceeded,
     _alphabet,
+    _level_keys,
     _marks,
     _pair_quotient,
     _quotient_rows,
@@ -154,13 +155,14 @@ def nucleus(
     # one machine, the identity as state 0; each sweep appends its new members
     members = sorted(N, key=Automorphism.sort_key)
     mperms, mtrans, states = _right_machine(members)
+    mkeys = _level_keys(mperms, mtrans)  # carried as the machine grows
     state = dict(zip(members, states))
     value = sorted(state, key=state.get)  # state -> member
     generations = 0
     swept = 0  # states below this were members of the last sweep, all pairs composed
     while True:
         generations += 1
-        fresh: dict[Automorphism, tuple] = {}  # new member -> its root perm and sections
+        fresh: dict[Automorphism, tuple] = {}  # new member -> its root perm, sections and key
         rows = [state[g] for g in sorted(N, key=Automorphism.sort_key)]
         seeds = [(s, 0) for s in range(len(mperms))]
         lo, size = 0, 1
@@ -170,7 +172,9 @@ def nucleus(
             batch = rows[lo : lo + size]
             lo, size = lo + size, 2 * size
             starts = [(p, q) for p in batch for q in rows if p >= swept or q >= swept]
-            perms, cols, ids, firsts = _pair_quotient(mperms, mtrans, mperms, mtrans, starts + seeds)
+            perms, cols, ids, firsts, keys = _pair_quotient(
+                mperms, mtrans, mperms, mtrans, starts + seeds, mkeys and (mkeys, mkeys)
+            )
             bperms, btrans = _quotient_rows(perms, cols, ids)
             mark = _marks(len(bperms))
             # the seed (s, 0) is member s; any other block's value is built once
@@ -193,18 +197,20 @@ def nucleus(
                 for g in limits:
                     if g not in N and g not in fresh:
                         b = block[g]
-                        fresh[g] = bperms[b], [built[t] for t in btrans[b]]
+                        fresh[g] = bperms[b], [built[t] for t in btrans[b]], keys and keys[b]
                         if len(N) + len(fresh) > max_size:
                             N.update(fresh)
                             return done("exceeded", generations, "size limit")
         if not fresh:
             return done("found", generations)
         swept = len(mperms)
-        for g, (perm, _) in fresh.items():
+        for g, (perm, _, key) in fresh.items():
             state[g] = len(value)
             value.append(g)
             mperms.append(perm)
-        mtrans += [tuple([state[t] for t in sections]) for _, sections in fresh.values()]
+            if mkeys:
+                mkeys.append(key)
+        mtrans += [tuple([state[t] for t in sections]) for _, sections, _ in fresh.values()]
         N.update(fresh)
         if generations >= max_depth:
             return done("exceeded", generations, "generation limit")
@@ -359,11 +365,11 @@ class GermGroupReport:
 
     representatives[i] is a word whose germ class is i (class 0 is the
     trivial germ); table[i][j] is the class of the product of classes i
-    and j.  complete is False only when closing the table would have taken
-    the class count past max_order, so the listed group might be a proper
-    subgroup of the full germ group.  Longer stabilizer words than max_len
-    could in principle also generate more germs; for contracting families
-    small radii already see them all.
+    and j.  complete is False only when the class count passed max_order:
+    the search stops at that class (order max_order + 1, the classes met
+    first, no table), and the germ group might be larger.  Longer
+    stabilizer words than max_len could in principle also generate more
+    germs; for contracting families small radii already see them all.
     """
 
     point: BoundaryPoint
@@ -429,6 +435,8 @@ def _germ_group_in(stab: list, point: BoundaryPoint, max_order: int = 64) -> Ger
         return classes[key]
 
     for word, elem, germ in stab:  # the ball's identity sorts first, so class 0 is trivial
+        if len(reps) > max_order:
+            break
         class_of(elem, germ, lambda: word)
 
     # close the classes under products (a finite set of germs closed under products is a group)
@@ -440,6 +448,8 @@ def _germ_group_in(stab: list, point: BoundaryPoint, max_order: int = 64) -> Ger
             if (i, j) not in table:
                 prod = compose(reps[i][1], reps[j][1])
                 table[i, j] = class_of(prod, _germ(prod, point), lambda: reps[i][0] * reps[j][0])
+                if len(reps) > max_order:
+                    break
     complete = len(reps) <= max_order
 
     return GermGroupReport(

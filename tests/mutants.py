@@ -77,6 +77,51 @@ MUTANTS = [
         "        mark[t] = -1 if t != order[-1] else mark[t]\n",
         (KERNEL + "test_read_off_against_the_dict_read_off", KERNEL + "test_read_off_on_every_ball_layer"),
     ),
+    Mutant(
+        "keyed seed: a pair keyed as the product in the wrong order, the left key through the right",
+        "treeauto/core.py",
+        "hkeys[pair % m].translate(gkeys[pair // m])",
+        "gkeys[pair // m][: len(hkeys[0])].translate(hkeys[pair % m].ljust(256))",
+        (KERNEL + "test_keyed_walks_on_drawn_machines", KERNEL + "test_keyed_walks_on_every_ball_layer"),
+    ),
+    Mutant(
+        "keyed seed: the identity pair keyed apart from the pairs that act trivially",
+        "treeauto/core.py",
+        "seeds = [hkeys[0], *[",
+        "seeds = [bytes(len(hkeys[0])), *[",
+        (KERNEL + "test_keyed_walks_on_drawn_machines", KERNEL + "test_keyed_walks_on_every_ball_layer"),
+    ),
+    Mutant(
+        "level recursion: the gluing flag never set by a start",
+        "treeauto/schreier.py",
+        "carry = [start is not None or any(",
+        "carry = [any(",
+        (KERNEL + "test_orbits_on_both_paths_on_drawn_machines", KERNEL + "test_orbits_on_both_paths_on_a_mixed_machine"),
+    ),
+    Mutant(
+        "level recursion: whole-level keys kept across a split level",
+        "treeauto/schreier.py",
+        "            seen.clear()\n",
+        "            pass\n",
+        (KERNEL + "test_a_split_level_between_two_equal_whole_levels", KERNEL + "test_level_graphs_on_drawn_pairs"),
+    ),
+    Mutant(
+        "germ closure: the class bound checked only between rounds of products",
+        "treeauto/nucleus.py",
+        "                if len(reps) > max_order:\n                    break\n",
+        "",
+        (KERNEL + "test_germ_keys_on_drawn_pairs", KERNEL + "test_germ_keys_on_catalog_balls"),
+    ),
+    Mutant(
+        "singular measure: the initial state solved first, not last",
+        "treeauto/activity.py",
+        "R = sorted(s for s in canreach if s not in (0, g.initial)) + [g.initial]",
+        "R = [g.initial] + sorted(s for s in canreach if s not in (0, g.initial))",
+        (
+            "tests/test_activity.py::test_singular_measure_against_the_fraction_solve_on_drawn_machines",
+            "tests/test_activity.py::test_singular_measure_strictly_between",
+        ),
+    ),
 ]
 
 

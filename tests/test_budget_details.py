@@ -129,7 +129,10 @@ def test_least_limits_are_accepted():
     assert len(ball(gens("grigorchuk"), 0, budget=1)[0]) == 1
     # an orbit never charges its start vertex, so 0 admits a fixed one
     assert orbit(gens("adding_machine"), "", budget=0) == ((),)
-    assert germ_group(gens("grigorchuk"), RAY, 2, max_order=1).complete is False
+    # the closure stops at the first class past max_order: the stabilizer's
+    # second class here (finishing the round would list e b c d)
+    rep = germ_group(gens("grigorchuk"), RAY, 2, max_order=1)
+    assert (rep.order, rep.representatives, rep.complete, rep.table) == (2, ("e", "b"), False, ())
 
 
 @pytest.mark.parametrize(

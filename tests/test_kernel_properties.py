@@ -31,6 +31,14 @@ letter loop written out; a copy of the generic loops kept here must give
 the same tables, block numbers and numbering on drawn binary machines,
 with one start and with many, and on every layer of the catalog's
 binary balls.
+The ball, the relator search and the nucleus closure seed that walk's
+refinement with level keys (core._level_keys) in place of root
+permutations; the perm-seeded copy must give the same tables, block
+numbers and firsts with keys on the deepest level under 64 vertices, on
+level 1 alone and on none, on drawn machines of two to four letters and
+on every walk of the catalog's balls, nuclei and relator searches, and
+each block's key must be its value's level action.  An alphabet of 257
+letters, too large for any key, keeps its frozen results.
 The renumbering numbers states through a mark list that many read-offs
 of one set of tables share; the dict read-off it replaced, kept here,
 must give the same tables on drawn machines of two to four letters, on
@@ -70,6 +78,7 @@ import time
 from collections import deque
 from contextlib import contextmanager
 from fractions import Fraction
+from importlib import import_module
 
 import pytest
 from hypothesis import given, settings
@@ -467,7 +476,8 @@ def test_walked_values_act_as_their_words(family):
 
 def generic_pair_quotient(gperms, gtrans, hperms, htrans, pairs) -> tuple:
     """core._pair_quotient with its generic letter loop at every alphabet
-    size, the reference for the body it takes on two letters."""
+    size and its refinement seeded with the root permutations alone, the
+    reference for the body it takes on two letters and for the keyed seed."""
     k, m = len(hperms[0]), len(hperms)
     index, order, firsts = {0: 0}, [], []
     for p, q in pairs:
@@ -533,12 +543,12 @@ def assert_read_off(k: int, perms, trans, mark: list, s: int):
     assert_unmarked(mark)
 
 
-def assert_binary_bodies(gperms, gtrans, hperms, htrans, pairs):
+def assert_binary_bodies(gperms, gtrans, hperms, htrans, pairs, keys=None):
     """Both kernels on two letters give the reference tables: the walk's
     (perms, cols, ids, firsts), and every block read off its rows through
     one shared mark list."""
-    got = core._pair_quotient(gperms, gtrans, hperms, htrans, pairs)
-    assert got == generic_pair_quotient(gperms, gtrans, hperms, htrans, pairs)
+    got = core._pair_quotient(gperms, gtrans, hperms, htrans, pairs, keys)
+    assert got[:4] == generic_pair_quotient(gperms, gtrans, hperms, htrans, pairs)
     perms, trans = core._quotient_rows(*got[:3])
     mark = core._marks(len(perms))
     for b in range(len(perms)):
@@ -619,6 +629,116 @@ def test_read_off_on_every_ball_layer(family):
             rng.shuffle(blocks)
             for b in blocks:
                 assert_read_off(k, perms, trans, mark, b)
+
+
+# -- the keyed refinement seed -------------------------------------------------
+
+SEED_VARIANTS = ("as_built", "level_one", "no_level")
+
+
+@contextmanager
+def seeded_walks(variant: str, k: int):
+    """Key the pair walks as built, on level 1 alone (_SEED_POINTS = k, so
+    the keys are the root permutations), or on no level (_SEED_POINTS = 1,
+    so _level_keys gives None and the walks take the root permutations)."""
+    with pytest.MonkeyPatch.context() as patch:
+        if variant != "as_built":
+            patch.setattr(core, "_SEED_POINTS", k if variant == "level_one" else 1)
+        yield
+
+
+def level_key(a: Automorphism) -> bytes:
+    """a's action on the deepest level with at most _SEED_POINTS vertices,
+    as bytes, from level_action."""
+    level = max(n for n in range(9) if a.k**n <= core._SEED_POINTS)
+    return bytes(level_action(a, level)[0])
+
+
+def assert_keyed_walk(gperms, gtrans, hperms, htrans, pairs, keys):
+    """The walk seeded with `keys` gives the perm-seeded reference's tables,
+    block numbers and firsts, and each block's key is its value's level key."""
+    got = core._pair_quotient(gperms, gtrans, hperms, htrans, pairs, keys)
+    assert got[:4] == generic_pair_quotient(gperms, gtrans, hperms, htrans, pairs)
+    if keys is None:
+        assert got[4] is None
+        return
+    k = len(hperms[0])
+    perms, trans = core._quotient_rows(*got[:3])
+    mark = core._marks(len(perms))
+    assert len(got[4]) == len(perms)
+    for b, key in enumerate(got[4]):
+        assert key == level_key(core._renumbered(k, perms, trans, mark, b)), b
+
+
+@PROPERTIES
+@given(triples(), st.sampled_from(SEED_VARIANTS), st.data())
+def test_keyed_walks_on_drawn_machines(drawn, variant, data):
+    """compose's walks from every state of a right machine and the ball's
+    and closure's walks with many starts and seeds (b, 0), keyed by
+    _level_keys of both machines, on two to four letters; every state's
+    key is its section's level key."""
+    g, h, f = drawn[1]
+    k = g.k
+    with seeded_walks(variant, k):
+        hperms, htrans, starts = core._right_machine([identity(k), h, f, g.inverse(), compose(h, f)])
+        hkeys = core._level_keys(hperms, htrans)
+        assert (hkeys is None) == (variant == "no_level")
+        for left in (g, compose(g, f)):
+            gkeys = core._level_keys(left.perms, left.trans)
+            if gkeys:
+                assert gkeys == [level_key(left._with_initial(s)) for s in range(left.state_count)]
+            keys = hkeys and (gkeys, hkeys)
+            for start in starts:
+                assert_keyed_walk(left.perms, left.trans, hperms, htrans, [(left.initial, start)], keys)
+            ps = data.draw(st.lists(st.integers(0, left.state_count - 1), min_size=1, max_size=6))
+            pairs = [(p, data.draw(st.sampled_from(starts))) for p in ps] + [(p, 0) for p in ps]
+            assert_keyed_walk(left.perms, left.trans, hperms, htrans, pairs, keys)
+
+
+@pytest.mark.parametrize("variant", SEED_VARIANTS)
+@pytest.mark.parametrize("family", sorted(PRODUCT_FAMILIES))
+def test_keyed_walks_on_every_ball_layer(family, variant, monkeypatch):
+    """Every walk of the ball to radius 4, each layer keyed by the block keys
+    of the last, of the nucleus closure and of the relator search to length
+    6 (radius 3 and length 4 with the keys forced lower), as they run,
+    against the perm-seeded reference."""
+    gens = PRODUCT_FAMILIES[family]
+    walks = []
+    pair_quotient = core._pair_quotient
+
+    def recording(*args):
+        walks.append(args)
+        return pair_quotient(*args)
+
+    with seeded_walks(variant, next(iter(gens.values())).k):
+        for module in (core, import_module("treeauto.nucleus"), import_module("treeauto.freeness")):
+            monkeypatch.setattr(module, "_pair_quotient", recording)
+        for _ in _reduced_words(symmetric_letters(gens), 4 if variant == "as_built" else 3):
+            pass
+        nucleus(gens)
+        find_relations(gens, 6 if variant == "as_built" else 4)
+        monkeypatch.undo()
+        assert walks
+        for args in walks:
+            assert_keyed_walk(*args[:5], args[5] if len(args) > 5 else None)
+
+
+def test_an_alphabet_past_256_letters():
+    """A transposition and a 257-cycle with trivial sections: no level but 0
+    fits under either cap, so the pair walks take the root permutations and
+    the keyed word walk values every word; results frozen from the walks
+    that composed once per word."""
+    k = 257
+    a = Automorphism.from_states(k, {"a": ((1, 0, *range(2, k)), ["e"] * k)}, "a")
+    b = Automorphism.from_states(k, {"b": ((*range(1, k), 0), ["e"] * k)}, "b")
+    gens = {"a": a, "b": b}
+    assert core._level_keys(a.perms, a.trans) is None
+    elements, closed = ball(gens, 2)
+    assert (len(elements), closed) == (10, False)
+    assert find_relations(gens, 4).relators[0] == Word.parse("a a")
+    assert free_subgroup_certificate(gens, "a", "b", 3) == TrichotomyEvidence(
+        status="relation_found", pair=("a", "b"), checked_len=3, relation="U U"
+    )
 
 
 # -- level actions and level graphs --------------------------------------------
@@ -1392,7 +1512,10 @@ def assert_germ_keys(elements, w: BoundaryPoint):
 
 def reference_germ_group(elements, w: BoundaryPoint, max_order: int) -> GermGroupReport:
     """_germ_group_in as it was: each class by compose-and-test against every
-    representative, and the table from a second round of products."""
+    representative, and the table from a second round of products.  The
+    search stops at the first class past max_order, whether the stabilizer
+    or a product brings it: an incomplete report lists max_order + 1
+    classes, those met first."""
     stab = [(word, g) for g, word in elements.items() if prefix_fixes(g, w)]
     stab.sort(key=lambda p: (len(p[0].letters), p[0].letters))
     reps, inverses = [], []
@@ -1407,22 +1530,25 @@ def reference_germ_group(elements, w: BoundaryPoint, max_order: int) -> GermGrou
         reps.append((word, g))
         inverses.append(invert(g))
 
+    def past_the_bound():
+        return len(reps) > max_order
+
     add(Word(()), identity(next(iter(elements)).k))
     for word, g in stab:
-        if class_of(g) is None:
+        if not past_the_bound() and class_of(g) is None:
             add(word, g)
     done, grew = set(), True
-    while grew and len(reps) <= max_order:
+    while grew and not past_the_bound():
         grew = False
         n = len(reps)
         for i, j in itertools.product(range(n), repeat=2):
-            if (i, j) not in done:
+            if (i, j) not in done and not past_the_bound():
                 done.add((i, j))
                 prod = compose(reps[i][1], reps[j][1])
                 if class_of(prod) is None:
                     add(reps[i][0] * reps[j][0], prod)
                     grew = True
-    complete = len(reps) <= max_order
+    complete = not past_the_bound()
     table = tuple(
         tuple(class_of(compose(ri, rj)) for _, rj in reps) for _, ri in reps
     ) if complete else ()

@@ -1,4 +1,5 @@
 import itertools
+import time
 from importlib import import_module
 
 import pytest
@@ -538,3 +539,17 @@ def test_germ_group_inverts_each_class_once(monkeypatch, compose_calls):
     # one product per ordered pair of classes, classed by its germ key and
     # kept as the table entry
     assert len(compose_calls) <= rep.order ** 2
+
+
+def test_germ_closure_stops_at_max_order(compose_calls):
+    """Aleshin's germ classes at 0^inf never close, and its products grow
+    with every round; the closure stops at the 65th class, inside its
+    round, instead of finishing the round (289 products of up to 31,105
+    states, seconds and hundreds of MB, reporting 161 classes)."""
+    start = time.perf_counter()
+    rep = germ_group(entry("aleshin").generators, BoundaryPoint.parse(":0"), 3)
+    assert (rep.order, rep.complete, rep.table) == (65, False, ())
+    assert len(rep.representatives) == 65 and rep.representatives[:2] == ("e", "a c b^-1")
+    assert rep.representatives[-1] == "a c a^-1 c^-1 a c b^-1 c a b^-1"
+    assert len(compose_calls) == 110
+    assert time.perf_counter() - start < 6.0

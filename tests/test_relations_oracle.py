@@ -192,9 +192,9 @@ def _count_walks(monkeypatch):
     walks, composed = [], []
     pair_walk, compose = freeness._pair_quotient, core.compose
 
-    def counting_walk(*machines_and_starts):
-        walks.append(len(machines_and_starts[-1]))
-        return pair_walk(*machines_and_starts)
+    def counting_walk(gperms, gtrans, hperms, htrans, starts, keys=None):
+        walks.append(len(starts))
+        return pair_walk(gperms, gtrans, hperms, htrans, starts, keys)
 
     def counting_compose(g, h):
         composed.append(None)
