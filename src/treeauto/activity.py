@@ -22,11 +22,10 @@ Measures here are exact rationals throughout; nothing is floated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional
 
-from .core import Automorphism, BoundaryPoint, _alphabet, compose, invert
+from .core import Automorphism, BoundaryPoint, Record, _alphabet, compose, invert
 
 
 def theta(g: Automorphism, n: int) -> int:
@@ -75,8 +74,7 @@ def theta_relative(
 # -- classification -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ActivityClass:
+class ActivityClass(Record):
     """Activity growth class of one automorphism.
 
     kind is "finitary", "bounded", "polynomial" or "exponential"; degree is
@@ -232,8 +230,7 @@ def _classify(g: Automorphism, structure) -> ActivityClass:
 # -- direction sets of bounded automorphisms ----------------------------------
 
 
-@dataclass(frozen=True)
-class DirectionSet:
+class DirectionSet(Record):
     """Where a bounded automorphism keeps acting, and how deep it acts elsewhere.
 
     points lists the rays along which the sections stay nontrivial forever
@@ -342,8 +339,7 @@ def empirical_measure_sequence(g: Automorphism, n: int) -> list[Fraction]:
 # -- closure of the bounded class ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class BoundedClosureReport:
+class BoundedClosureReport(Record):
     input_kinds: tuple[str, str]
     depth_bound: int
     product_kind: str

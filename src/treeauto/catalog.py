@@ -8,20 +8,18 @@ blocks, they exist so regressions have a single place to point at.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Mapping, Union
 
-from .core import Automorphism, apply, evaluate_word, vertex
+from .core import Automorphism, Record, apply, evaluate_word, vertex
 from .words import Word
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(Record):
     name: str
     alphabet: int
     generators: Mapping[str, Automorphism]
     summary: str
-    expected: dict = field(default_factory=dict)
+    expected: dict = {}
 
 
 def _adding_machine() -> CatalogEntry:

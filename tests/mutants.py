@@ -40,6 +40,7 @@ class Mutant(NamedTuple):
 
 
 KERNEL = "tests/test_kernel_properties.py::"
+RECORDS = "tests/test_records.py::"
 
 MUTANTS = [
     Mutant(
@@ -121,6 +122,27 @@ MUTANTS = [
             "tests/test_activity.py::test_singular_measure_against_the_fraction_solve_on_drawn_machines",
             "tests/test_activity.py::test_singular_measure_strictly_between",
         ),
+    ),
+    Mutant(
+        "records: equal across classes, the class check dropped",
+        "treeauto/core.py",
+        "        if other.__class__ is not self.__class__:\n            return NotImplemented\n",
+        "",
+        (RECORDS + "test_equal_only_within_a_class",),
+    ),
+    Mutant(
+        "records: a dict default shared between records, not copied",
+        "treeauto/core.py",
+        "dict(default) if type(default) is dict else default",
+        "default",
+        (RECORDS + "test_a_dict_default_is_fresh_for_each_record",),
+    ),
+    Mutant(
+        "records: assignment to a field goes through",
+        "treeauto/core.py",
+        'raise AttributeError("cannot assign to field %r" % name)',
+        "object.__setattr__(self, name, value)",
+        (RECORDS + "test_records_are_immutable",),
     ),
 ]
 

@@ -67,3 +67,17 @@ def test_import_loads_only_nucleus_and_what_it_needs():
     assert proc.returncode == 0, proc.stderr
     expected = ["treeauto", "treeauto.core", "treeauto.nucleus", "treeauto.words"]
     assert proc.stdout == "%r\ntreeauto.schreier\n" % expected
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # the reports are records (core.Record), so no module of the package
+    # needs dataclasses or the inspect module it imports; a bare interpreter
+    # is the baseline, so a site hook that loads either cannot fail this
+    code = "import sys%s\nprint(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))\n"
+    loaded = []
+    for imports in ("", ", treeauto.cli, treeauto.activity, treeauto.freeness, treeauto.schreier"):
+        proc = subprocess.run([sys.executable, "-c", code % imports], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        loaded.append(proc.stdout)
+    bare, package = loaded
+    assert package == bare
