@@ -398,15 +398,10 @@ class Automorphism:
         """The section g|_v, the automorphism induced on the subtree at v."""
         return self._with_initial(self.state_at(v))
 
-    def _ray(self, w: BoundaryPoint) -> tuple[list, list, int]:
-        """_ray_walk of g's own tables from its initial state, the letters of
-        the ray checked against the alphabet."""
-        self._vertex(w.preperiod + w.period)
-        return _ray_walk(self.perms, self.trans, self.initial, w)
-
     def apply_boundary(self, w: BoundaryPoint) -> BoundaryPoint:
         """The image of an eventually periodic ray, again in canonical form."""
-        out, _, c = self._ray(w)
+        self._vertex(w.preperiod + w.period)
+        out, _, c = _ray_walk(self.perms, self.trans, self.initial, w)
         i = len(w.preperiod) + c * len(w.period)
         return BoundaryPoint(tuple(out[:i]), tuple(out[i:]))
 

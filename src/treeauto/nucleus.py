@@ -20,10 +20,10 @@ machine, and a sweep runs over pairs of that machine with itself: rows
 of left members in batches of 1, 2, 4, ..., each batch one pair walk
 from its products (pairs of two members known before the last sweep
 skipped) and from the seeds (s, 0), one per member s.  After one
-refinement the seed's block is member s; the products' limit states are
-peeled on the blocks, and a value is built only for a block that is no
-member.  A product whose limit blocks are all known adds nothing and is
-skipped; any other has its limit-state set built exactly as
+refinement the seed's block is member s.  The blocks of members, old or
+new, are settled, a set closed under successors, so a product adds
+nothing, and is skipped, exactly when its walk outside them peels to
+nothing.  Any other has its limit-state set built exactly as
 limit_states(compose(g, h)) would build it, the same values inserted in
 the same order, and iterated.  Which new members come first in those
 iterations, which follow the values' hashes and not their state
@@ -38,16 +38,17 @@ stops as soon as every first-level section of every generator has its
 first word, so a "yes" costs the layers and values up to its last
 witness, while "no" and "inconclusive" still need the whole ball.  The
 stabilizers of germ_group, stabilizer_search, germ_faithfulness_probe
-and the trichotomy command (_stabilizers) walk each ray on the rows from
+and the trichotomy command (_stabilizers) test each ray on the rows from
 the element's block and read off only the elements that fix it.  The
 budget counts the distinct elements the walk has reached.
 
-Germs at a ray w are keyed (_germ): one walk of w gives g's states at the
-starts of the period sweeps, and for g fixing w their cycle, rotated so the
-state at a sweep index divisible by its length comes first, is the key.
-Elements fixing w share a germ exactly when their sections agree at some
-vertex of w, and then at every later one; the cycle's distinct states are
-distinct values, so it is primitive and equal germs give equal cycles.
+Germs at a ray w are keyed (_ray_germ): one walk of w, given up at the
+first letter g moves, gives g's states at the starts of the period sweeps;
+for g fixing w their cycle, rotated so the state at a sweep index divisible
+by its length comes first, is the key.  Elements fixing w share a germ
+exactly when their sections agree at some vertex of w, and then at every
+later one; the cycle's distinct states are distinct values, so it is
+primitive and equal germs give equal cycles.
 """
 
 from __future__ import annotations
@@ -65,7 +66,6 @@ from .core import (
     _marks,
     _pair_quotient,
     _quotient_rows,
-    _ray_walk,
     _reduced_words,
     _renumbered,
     _right_machine,
@@ -83,29 +83,31 @@ def limit_states(g: Automorphism) -> set[Automorphism]:
     return {g._with_initial(s, mark) for s in _deep_states(g.trans, g.initial)}
 
 
-def _deep_states(trans, start: int) -> list[int]:
+def _deep_states(trans, start: int, settled=()) -> list[int]:
     """The states of a minimal machine's rows `trans` that are deep below
     `start`, peeled as in the module docstring: the identity state 0 first
     when it is reached, then the others breadth-first from start, letters
     in order, the order of their canonical numbers in the machine of
     start.  limit_states inserts its values in that order, but a set is
     iterated in the order of their hashes: the first members met there
-    are what make up an exceeded nucleus partial (NucleusResult)."""
-    indegree = {start: 0}
-    order = [start]
+    make up an exceeded nucleus partial (NucleusResult).  A walk given
+    `settled`, states closed under successors and without start, enters
+    none of them and keeps the deep states outside it, in the same order."""
+    indegree, order = {start: 0}, [start]
     for s in order:  # the list grows while it is walked
         for t in trans[s]:
             if t in indegree:
                 indegree[t] += 1
-            else:
+            elif t not in settled:
                 indegree[t] = 1
                 order.append(t)
     peel = [s for s in order if indegree[s] == 0]
     while peel:
         for t in trans[peel.pop()]:
-            indegree[t] -= 1
-            if indegree[t] == 0:
-                peel.append(t)
+            if t in indegree:
+                indegree[t] -= 1
+                if indegree[t] == 0:
+                    peel.append(t)
     return [0] * (0 in indegree) + [s for s in order if s and indegree[s]]
 
 
@@ -181,11 +183,9 @@ def nucleus(
             settled = set(built)  # blocks whose sections all lie in N or fresh
             block = {}  # built value -> its block
             for f in firsts[: len(starts)]:
-                if ids[f] in settled:
+                if ids[f] in settled or not _deep_states(btrans, ids[f], settled):
                     continue
                 deep = _deep_states(btrans, ids[f])
-                if settled.issuperset(deep):
-                    continue
                 limits = set()  # limit_states(compose(g, h)), inserted in its order
                 for b in deep:
                     if b not in built:
@@ -242,11 +242,8 @@ def ball(
 
 def _ball_walk(gens: Mapping[str, Automorphism], max_len: int, budget: int, elements: dict):
     """Yield each new (value, word) of ball(gens, max_len, budget), the
-    identity first, while `elements` fills up as ball's map.
-
-    The word yielded is the one ball stores; a value reaches `elements`
-    only once the consumer asks for the next one.
-    """
+    identity first, while `elements` fills up as ball's map: a value and
+    its word reach it only once the consumer asks for the next one."""
     letters = _ball_letters(gens, max_len, budget)
     k = letters[0][1].k
     value, word = identity(k), Word(())
@@ -328,14 +325,25 @@ def is_self_similar(
 
 def _germ(g: Automorphism, point: BoundaryPoint) -> Optional[tuple[int, ...]]:
     """None when g moves the ray, else g's germ key there (module docstring)."""
-    return _germ_of(*g._ray(point), point)
+    g._vertex(point.preperiod + point.period)
+    return _ray_germ(g.perms, g.trans, g.initial, point)
 
 
-def _germ_of(out: list, starts: list, c: int, point: BoundaryPoint) -> Optional[tuple[int, ...]]:
-    """_germ from one walk of the ray: None when its letters leave the ray,
-    else the key, in the numbering of the tables walked."""
-    if out != list(point.preperiod + point.period * len(starts)):
-        return None
+def _ray_germ(perms, trans, s: int, w: BoundaryPoint) -> Optional[tuple[int, ...]]:
+    """_germ of state s of a machine's tables, in their numbering: None at
+    the first letter of w that the walk moves, else the key."""
+    for x in w.preperiod:
+        if perms[s][x] != x:
+            return None
+        s = trans[s][x]
+    starts = {}  # state -> its sweep index; at most one sweep per state
+    while s not in starts:
+        starts[s] = len(starts)
+        for x in w.period:
+            if perms[s][x] != x:
+                return None
+            s = trans[s][x]
+    c, starts = starts[s], list(starts)
     n = len(starts) - c  # the state at sweep j >= c is starts[c + (j - c) % n]
     return tuple(starts[c + (j - c) % n] for j in range(n))
 
@@ -345,12 +353,9 @@ def stabilizes(g: Automorphism, point: BoundaryPoint) -> bool:
 
 
 def germ_is_trivial(g: Automorphism, point: BoundaryPoint) -> bool:
-    """Is g the identity on some neighborhood of the fixed ray?
-
-    True exactly when the state walk along the ray falls into the identity
-    state, i.e. g restricted below some finite prefix of the ray is trivial.
-    Raises if g does not fix the ray, since the germ is undefined there.
-    """
+    """Is g the identity below some finite prefix of the fixed ray, i.e. does
+    its state walk along the ray fall into the identity state?  Raises if g
+    does not fix the ray, since the germ is undefined there."""
     germ = _germ(g, point)
     if germ is None:
         raise ValueError("germ is only defined at a fixed ray")
@@ -395,7 +400,7 @@ def _stabilizers(gens: Mapping[str, Automorphism], max_len: int, budget: int, po
     letter by letter in symmetric_letters order), and ball's closed flag.
 
     One walk of the ball's words serves every point: each new element's
-    ray is walked on the quotient rows from its block, and a value is read
+    ray is tested on the quotient rows from its block, and a value is read
     off only for an element that fixes some point.  Past the budget this
     raises what ball raises, the same partial map included.
     """
@@ -411,10 +416,10 @@ def _stabilizers(gens: Mapping[str, Automorphism], max_len: int, budget: int, po
         longest = len(word)
         value = None
         for p, stab in zip(points, stabs):
-            if _germ_of(*_ray_walk(perms, trans, b, p), p) is not None:
+            if _ray_germ(perms, trans, b, p) is not None:
                 if value is None:
                     value = _renumbered(k, perms, trans, mark, b)
-                stab.append((word, value, _germ(value, p)))
+                stab.append((word, value, _ray_germ(value.perms, value.trans, value.initial, p)))
     return stabs, longest < max_len
 
 
@@ -448,11 +453,5 @@ def _germ_group_in(stab: list, point: BoundaryPoint, max_order: int = 64) -> Ger
                 if len(reps) > max_order:
                     break
     complete = len(reps) <= max_order
-
-    return GermGroupReport(
-        point=point,
-        order=len(reps),
-        representatives=tuple(str(w) for w, _ in reps),
-        complete=complete,
-        table=tuple(tuple(table[i, j] for j in range(n)) for i in range(n)) if complete else (),
-    )
+    rows = tuple(tuple(table[i, j] for j in range(n)) for i in range(n)) if complete else ()
+    return GermGroupReport(point, len(reps), tuple(str(w) for w, _ in reps), complete, rows)

@@ -114,6 +114,33 @@ MUTANTS = [
         (KERNEL + "test_germ_keys_on_drawn_pairs", KERNEL + "test_germ_keys_on_catalog_balls"),
     ),
     Mutant(
+        "ray kernel: the preperiod's letters not checked",
+        "treeauto/nucleus.py",
+        "    for x in w.preperiod:\n        if perms[s][x] != x:\n            return None\n",
+        "    for x in w.preperiod:\n",
+        (
+            KERNEL + "test_ray_germ_against_the_whole_walk_on_drawn_machines",
+            KERNEL + "test_ray_germ_against_the_whole_walk_on_catalog_balls",
+        ),
+    ),
+    Mutant(
+        "pruned deep walk: settled states entered",
+        "treeauto/nucleus.py",
+        "            elif t not in settled:\n",
+        "            else:\n",
+        (
+            KERNEL + "test_pruned_deep_states_on_drawn_graphs",
+            "tests/test_nucleus.py::test_nucleus_closure_walks_in_full_only_products_that_add",
+        ),
+    ),
+    Mutant(
+        "pruned deep walk: self-loops not counted outside the settled states",
+        "treeauto/nucleus.py",
+        "                indegree[t] += 1\n",
+        "                indegree[t] += t != s or not settled\n",
+        (KERNEL + "test_pruned_deep_states_on_drawn_graphs", KERNEL + "test_pruned_deep_states_by_hand"),
+    ),
+    Mutant(
         "singular measure: the initial state solved first, not last",
         "treeauto/activity.py",
         "R = sorted(s for s in canreach if s not in (0, g.initial)) + [g.initial]",

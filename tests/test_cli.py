@@ -218,26 +218,25 @@ def test_trichotomy_builds_one_ball_per_run(monkeypatch, capsys):
 
 
 def test_trichotomy_walks_each_ray_once_per_point(monkeypatch, capsys):
-    """Each ball element's ray is walked once per point, for the germ group
-    and the faithfulness probe together: on the ball walk's rows from the
-    element's block (the identity's on its own tables), and for an element
-    that fixes the ray once more on its value, for its germ key in the
-    value's numbering.  The germ closure walks one more ray per product,
-    order squared of them."""
-    core, nucleus = import_module("treeauto.core"), import_module("treeauto.nucleus")
+    """Each ball element's ray is tested once per point, for the germ group
+    and the faithfulness probe together (nucleus._ray_germ, which gives up
+    at the first letter the element moves): on the ball walk's rows from
+    the element's block (the identity's on its own tables), and for an
+    element that fixes the ray once more on its value, for its germ key in
+    the value's numbering.  The germ closure tests one more ray per
+    product, order squared of them."""
+    nucleus = import_module("treeauto.nucleus")
     gens = entry("grigorchuk").generators
     size = len(nucleus.ball(gens, 3)[0])
     hits = [len(stabilizer_search(gens, BoundaryPoint.parse(p), 3).words) for p in (":1", ":0")]
-    ray_walk = core._ray_walk
+    ray_germ = nucleus._ray_germ
     calls = []
 
-    def counting_ray_walk(*args):
+    def counting_ray_germ(*args):
         calls.append(args)
-        return ray_walk(*args)
+        return ray_germ(*args)
 
-    # Automorphism._ray walks through core's binding, the ball walk through nucleus'
-    monkeypatch.setattr(core, "_ray_walk", counting_ray_walk)
-    monkeypatch.setattr(nucleus, "_ray_walk", counting_ray_walk)
+    monkeypatch.setattr(nucleus, "_ray_germ", counting_ray_germ)
     argv = ["trichotomy", "-f", "grigorchuk", "--point", ":1", "--point", ":0", "--max-len", "3"]
     assert main(argv) == 0
     orders = [p["germ_order"] for p in json.loads(capsys.readouterr().out)["points"]]

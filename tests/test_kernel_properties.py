@@ -56,10 +56,12 @@ sequence word for word, as built and forced to settle many repeated keys
 by value, and the two searches on it must give the reports frozen from
 the exact walk.
 
-One walk along a ray (Automorphism._ray) serves apply_boundary, stabilizes,
-germ_is_trivial and the germ key; they are checked against applies and
-sections on long prefixes of the ray and against the two-walk
-germ_is_trivial.  Two elements fixing a ray must share a germ key exactly
+apply_boundary walks a ray whole (core._ray_walk); stabilizes,
+germ_is_trivial and the germ key walk it only up to the first letter moved
+(nucleus._ray_germ).  They are checked against applies and sections on
+long prefixes of the ray and against the two-walk germ_is_trivial, and the
+ray test against the whole walk it replaced, kept here, on every state of
+drawn machines and rays and on every block of the catalog's balls.  Two elements fixing a ray must share a germ key exactly
 when g h^-1 has trivial germ, and germ groups read off the keys must equal
 those found by composing with every representative's inverse.  The ray
 stabilizers read off the ball walk's blocks (nucleus._stabilizers) must
@@ -67,9 +69,12 @@ list exactly ball's elements that fix the ray, germ keys included, in
 ball's order, with ball's closed flag and its budget stop.
 
 Limit states found by peeling must be the states met at every large
-depth, and the one state-graph analysis that the activity module shares
-must give the classifications, direction sets and closure reports of the
-earlier analyses, one graph pass per question, kept here as a reference.
+depth.  The nucleus closure's walk outside a set of settled states, closed
+under successors, must keep exactly the deep states outside it, in order,
+on drawn graphs and by hand.  The one state-graph analysis that the
+activity module shares must give the classifications, direction sets and
+closure reports of the earlier analyses, one graph pass per question,
+kept here as a reference.
 """
 
 import itertools
@@ -119,8 +124,10 @@ from treeauto.freeness import (
 from treeauto.machine_io import dump_machine, parse_machine
 from treeauto.nucleus import (
     GermGroupReport,
+    _deep_states,
     _germ,
     _germ_group_in,
+    _ray_germ,
     _stabilizers,
     ball,
     germ_is_trivial,
@@ -1397,6 +1404,64 @@ def test_state_graphs_on_drawn_machines(drawn):
         assert outcome(is_bounded_closed_under_product, a, b) == outcome(reference_closure, a, b)
 
 
+@st.composite
+def graphs_with_settled(draw):
+    """Rows of a drawn state graph (state 0 with or without its self-loops,
+    every state's own number drawn more often than another) and the states
+    below at most two drawn ones, a set closed under successors."""
+    n, k = draw(st.integers(1, 7)), draw(st.integers(1, 3))
+    rows = [
+        tuple(draw(st.lists(st.sampled_from([s, s, *range(n)]), min_size=k, max_size=k)))
+        for s in range(n)
+    ]
+    if draw(st.booleans()):
+        rows[0] = (0,) * k
+    settled = draw(st.sets(st.integers(0, n - 1), max_size=2))
+    stack = list(settled)
+    while stack:
+        for t in rows[stack.pop()]:
+            if t not in settled:
+                settled.add(t)
+                stack.append(t)
+    return rows, settled
+
+
+def assert_pruned_deep_states(rows, start: int, settled: set):
+    """The walk outside settled keeps the deep states outside it, in order,
+    so it is empty exactly when settled holds every deep state."""
+    deep = _deep_states(rows, start)
+    kept = _deep_states(rows, start, settled)
+    assert kept == [s for s in deep if s not in settled]
+    assert (not kept) == settled.issuperset(deep)
+
+
+@PROPERTIES
+@given(graphs_with_settled())
+def test_pruned_deep_states_on_drawn_graphs(drawn):
+    rows, settled = drawn
+    for start in range(len(rows)):
+        if start not in settled:
+            assert_pruned_deep_states(rows, start, settled)
+
+
+@pytest.mark.parametrize(
+    "rows, start, settled, kept",
+    [
+        ([(0, 0), (1, 0), (1, 0)], 2, {0}, [1]),  # a self-loop below the start
+        ([(0, 0), (1, 0), (1, 0)], 2, {0, 1}, []),  # the self-loop settled
+        ([(0, 0), (1, 0), (2, 1)], 2, {0, 1}, [2]),  # a self-loop on the start
+        ([(0, 0), (1, 3), (1, 0), (0, 0)], 2, {0}, [1, 3]),  # a stem below a self-loop
+        ([(0, 0), (2, 0), (1, 0)], 1, {0}, [1, 2]),  # the start on a cycle
+        ([(0, 0), (0, 0)], 1, set(), [0]),  # state 0 reached and not settled
+        ([(0, 0), (0, 0)], 1, {0}, []),
+        ([(0,), (2,), (3,), (3,)], 1, {3}, []),  # a stem into a settled self-loop
+    ],
+)
+def test_pruned_deep_states_by_hand(rows, start, settled, kept):
+    assert _deep_states(rows, start, settled) == kept
+    assert_pruned_deep_states(rows, start, settled)
+
+
 @pytest.mark.parametrize("family", sorted(builtin()))
 def test_state_graphs_on_catalog_words(family):
     letters = symmetric_letters(builtin()[family].generators)
@@ -1500,6 +1565,41 @@ def test_ray_walks_on_drawn_machines(drawn):
     for w in ws:
         for a in (g, h, f, compose(g, h), compose(h, compose(g, f))):
             assert_ray_walks(a, w)
+
+
+def whole_walk_germ(perms, trans, s: int, w: BoundaryPoint):
+    """_ray_germ as it was: the whole image walked (core._ray_walk) up to a
+    repeated sweep start, then compared with the ray."""
+    return whole_walk_germ_of(*core._ray_walk(perms, trans, s, w), w)
+
+
+def whole_walk_germ_of(out: list, starts: list, c: int, point: BoundaryPoint):
+    if out != list(point.preperiod + point.period * len(starts)):
+        return None
+    n = len(starts) - c  # the state at sweep j >= c is starts[c + (j - c) % n]
+    return tuple(starts[c + (j - c) % n] for j in range(n))
+
+
+@PROPERTIES
+@given(machines_and_rays())
+def test_ray_germ_against_the_whole_walk_on_drawn_machines(drawn):
+    (g, h, f), ws = drawn
+    for a in (g, h, f, compose(g, h), compose(h, compose(g, f))):
+        for s, w in itertools.product(range(a.state_count), ws):
+            assert _ray_germ(a.perms, a.trans, s, w) == whole_walk_germ(a.perms, a.trans, s, w)
+
+
+@pytest.mark.parametrize("family", sorted(builtin()))
+def test_ray_germ_against_the_whole_walk_on_catalog_balls(family):
+    """On the ball walk's rows from each new element's block, as the
+    stabilizers test it, at every ray with preperiod <= 2 and period <= 3
+    letters (1 and 2 on three letters)."""
+    gens = builtin()[family].generators
+    k = next(iter(gens.values())).k
+    points = rays(k, 2, 3) if k == 2 else rays(k, 1, 2)
+    for _, b, (perms, trans, _) in _reduced_words(symmetric_letters(gens), 3 if k == 2 else 2):
+        for w in points:
+            assert _ray_germ(perms, trans, b, w) == whole_walk_germ(perms, trans, b, w), w
 
 
 def assert_germ_keys(elements, w: BoundaryPoint):

@@ -189,6 +189,29 @@ def test_nucleus_closure_composes_no_pair(compose_calls):
     assert compose_calls == []
 
 
+@pytest.mark.parametrize("family, walks", [("tullio", (603, 88)), ("aleshin", (10, 10))])
+def test_nucleus_closure_walks_in_full_only_products_that_add(monkeypatch, family, walks):
+    """A product's deep states are walked in full, for its limit-state set,
+    only right after its walk outside the settled blocks kept one."""
+    deep_states = nucleus_module._deep_states
+    calls = []  # (start, settled given, deep states)
+
+    def counting_deep_states(trans, start, *settled):
+        calls.append((start, bool(settled), deep_states(trans, start, *settled)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(nucleus_module, "_deep_states", counting_deep_states)
+    gens = entry(family).generators
+    assert nucleus(gens).status == "exceeded"
+    closure = calls[2 * len(gens) :]  # after limit_states of each generator and inverse
+    pruned = [i for i, (_, given, _) in enumerate(closure) if given]
+    kept = [i for i in pruned if closure[i][2]]
+    assert [i for i, (_, given, _) in enumerate(closure) if not given] == [i + 1 for i in kept]
+    assert all(closure[i][0] == closure[i + 1][0] for i in kept)
+    # with no walk outside the settled blocks, all 603 of tullio's products were walked in full
+    assert (len(pruned), len(kept)) == walks
+
+
 @pytest.mark.parametrize("limits", [{"max_depth": 0}, {"max_depth": -1}, {"max_size": 0}])
 def test_nucleus_rejects_limits_below_one(limits):
     with pytest.raises(ValueError, match="must be at least 1"):
