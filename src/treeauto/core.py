@@ -75,6 +75,19 @@ alone: on two letters, the alphabet of most of the catalog, the letter
 loop is written out, since there the loop itself costs more than the
 lookups it drives.  Both bodies build the same tables.
 
+Every query on one generator set starts from the same tables: its letters
+(symmetric_letters), their right machine with its starts and seed keys
+(_reduced_words, the exact relator search) and the keyed word walk's step
+keys (_distinct_words).  One memo (_letter_set) holds them for the last
+_LETTER_SETS_HELD = 16 generator sets used, the least recently used
+evicted first, keyed by the generators' names and values and by the
+_SEED_POINTS and _KEY_POINTS they depend on; a set's machine and step
+keys are built the first time a caller needs them.  Entries are tuples
+and the letters are handed out in a fresh list, so no caller can change
+one.  The memo never holds what a query computes (no ball, layer,
+relator, nucleus or germ), and it keeps the values of its 16 sets, their
+inverses and tables alive until they are evicted.
+
 Composition is right to left throughout: (compose(g, h))(v) = g(h(v)).
 """
 
@@ -689,17 +702,50 @@ def symmetric_letters(gens: Mapping[str, Automorphism]) -> list[tuple[tuple, Aut
     """Letters (name, sign) with their values: each generator by name, then
     its inverse with sign -1 unless the generator is an involution.
 
-    The generators must be nonempty and share one alphabet.
+    The generators must be nonempty and share one alphabet.  The letters
+    are the memo's (module docstring), in a fresh list.
     """
-    _alphabet(gens)
-    letters = []
-    for name in sorted(gens):
-        g = gens[name]
-        letters.append(((name, 1), g))
-        inv = invert(g)
-        if inv != g:
-            letters.append(((name, -1), inv))
-    return letters
+    return list(_letter_set(gens)[0])
+
+
+# the generator sets whose tables are held, least recently used first:
+# key -> [letters, right machine or None, step keys or None]
+_LETTER_SETS_HELD = 16
+_letter_sets: dict = {}
+
+
+def _letter_set(gens: Mapping[str, Automorphism]) -> list:
+    """The memo entry of a generator set (module docstring), made its most
+    recently used.  A miss builds the letters; its other two slots are
+    filled by their first reader.  Threads that race on one set may build
+    its tables twice, with equal results; no dict step here can raise."""
+    key = (tuple([(name, gens[name]) for name in sorted(gens)]), _SEED_POINTS, _KEY_POINTS)
+    entry = _letter_sets.pop(key, None)
+    if entry is None:
+        _alphabet(gens)
+        letters = []
+        for name in sorted(gens):
+            g = gens[name]
+            letters.append(((name, 1), g))
+            inv = invert(g)
+            if inv != g:
+                letters.append(((name, -1), inv))
+        entry = [tuple(letters), None, None]
+    _letter_sets[key] = entry
+    for stale in list(_letter_sets)[:-_LETTER_SETS_HELD]:  # the least recently used
+        _letter_sets.pop(stale, None)
+    return entry
+
+
+def _letter_machine(letters) -> tuple:
+    """(perms, trans, starts, keys) of letters = symmetric_letters(gens):
+    their _right_machine and its _level_keys, as tuples, from the memo."""
+    entry = _letter_set({name: g for (name, sign), g in letters if sign > 0})
+    if entry[1] is None:
+        perms, trans, starts = _right_machine([g for _, g in entry[0]])
+        keys = _level_keys(perms, trans)
+        entry[1] = tuple(perms), tuple(trans), tuple(starts), keys and tuple(keys)
+    return entry[1]
 
 
 def section(g: Automorphism, v: VertexLike) -> Automorphism:
@@ -772,10 +818,15 @@ def evaluate_word(gens: Mapping[str, Automorphism], word: Union[Word, str]) -> A
     if isinstance(word, str):
         word = Word.parse(word)
     result = Automorphism.identity(_alphabet(gens))
+    letters = None  # symmetric_letters(gens), read at the first inverse letter
     for name, sign in word:
         if name not in gens:
             raise ValueError("unknown generator %r" % name)
-        g = gens[name] if sign > 0 else gens[name].inverse()
+        g = gens[name]
+        if sign < 0:
+            if letters is None:
+                letters = dict(symmetric_letters(gens))
+            g = letters.get((name, -1), g)  # an involution has no inverse letter
         result = compose(result, g)
     return result
 
@@ -787,10 +838,11 @@ def _reduced_words(letters, max_len: int):
     Words grow by one letter on the right, skipping the letter that cancels
     the last one, so each word yielded is the first, hence a shortest, word
     for its value.  Stops early at a length that adds nothing.  A layer is
-    one _pair_quotient walk of the last layer's quotient with the letters,
-    from each child's (prefix block, letter), at most len(letters) starts
-    per element new in the last layer, and then one seed (b, 0) per element
-    met so far, the identity first.  In one walk a block is a value, so a
+    one _pair_quotient walk of the last layer's quotient with the letters'
+    right machine (_letter_machine), from each child's (prefix block,
+    letter), at most len(letters) starts per element new in the last
+    layer, and then one seed (b, 0) per element met so far, the identity
+    first.  In one walk a block is a value, so a
     child whose block a seed or an earlier child holds is known, with no
     value read off and no value hashed.  tables are the layer's quotient
     rows, one per block (the next layer's left machine), and the layer's
@@ -798,8 +850,7 @@ def _reduced_words(letters, max_len: int):
     block), read off only by a consumer that needs it.
     """
     k = letters[0][1].k
-    hperms, htrans, hstarts = _right_machine([g for _, g in letters])
-    hkeys = _level_keys(hperms, htrans)
+    hperms, htrans, hstarts, hkeys = _letter_machine(letters)
     # by a word's last letter (none for the empty word): its children's letter indices
     after = {(): range(len(letters))}
     for (name, sign), _ in letters:
@@ -849,7 +900,8 @@ def _distinct_words(letters, max_len: int):
     word, and the child is told apart by one value probe, so neither a
     repeated key of distinct elements nor a hash collision moves the
     sequence.  The words on a repeated key are valued by evaluate_word
-    over the letters' generators.  Only the layer being extended keeps its
+    over the letters' generators, and the letters' step keys come from the
+    memo (module docstring).  Only the layer being extended keeps its
     keys.  With no level but 0 under the cap every word is a hit, and the
     walk is exact.
     """
@@ -857,11 +909,14 @@ def _distinct_words(letters, max_len: int):
     level = 0
     while k ** (level + 1) <= _KEY_POINTS:
         level += 1
-    steps = [
-        (letter, bytes(_perm_inverse(level_action(g, level)[0])).ljust(256, b"\0"))
-        for letter, g in letters
-    ]
     gens = {name: g for (name, sign), g in letters if sign > 0}
+    entry = _letter_set(gens)
+    if entry[2] is None:
+        entry[2] = tuple(
+            (letter, bytes(_perm_inverse(level_action(g, level)[0])).ljust(256, b"\0"))
+            for letter, g in entry[0]
+        )
+    steps = entry[2]
     start = bytes(range(k ** level))
     seen = {hash(start): Word(())}
     layer = [(Word(()), start)]

@@ -64,10 +64,9 @@ from .core import (
     BudgetExceeded,
     Record,
     _distinct_words,
-    _level_keys,
+    _letter_machine,
     _pair_quotient,
     _quotient_rows,
-    _right_machine,
     compose,
     evaluate_word,
     invert,
@@ -159,8 +158,7 @@ def find_relations(
     # length: a reduced word u v^-1 is trivial exactly when u and v are equal
     letters = [letter for letter, _ in steps]
     inverse = {x: (x[0], -x[1]) if (x[0], -x[1]) in letters else x for x in letters}
-    hperms, htrans, hstarts = _right_machine([g for _, g in steps])
-    hkeys = _level_keys(hperms, htrans)
+    hperms, htrans, hstarts, hkeys = _letter_machine(steps)
     # length 0: the identity row, and its key
     perms, cols, ids, keys = hperms[:1], [[0]] * len(hperms[0]), [0], hkeys and hkeys[:1]
     previous = {0: [()]}  # the last length's words by block

@@ -61,7 +61,6 @@ from .core import (
     BoundaryPoint,
     BudgetExceeded,
     Record,
-    _alphabet,
     _level_keys,
     _marks,
     _pair_quotient,
@@ -71,7 +70,6 @@ from .core import (
     _right_machine,
     compose,
     identity,
-    invert,
     symmetric_letters,
 )
 from .words import Word
@@ -138,13 +136,13 @@ def nucleus(
     max_size: int = 64,
     max_depth: int = 16,
 ) -> NucleusResult:
-    k = _alphabet(gens)
+    letters = symmetric_letters(gens)
     if max_size < 1 or max_depth < 1:
         raise ValueError("max_size and max_depth must be at least 1")
+    k = letters[0][1].k
     N: set[Automorphism] = {identity(k)}
-    for g in gens.values():
+    for _, g in letters:
         N |= limit_states(g)
-        N |= limit_states(invert(g))
 
     def done(status, gen, reason=None):
         return NucleusResult(status, tuple(sorted(N, key=Automorphism.sort_key)), gen, reason)

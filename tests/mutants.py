@@ -40,6 +40,7 @@ class Mutant(NamedTuple):
 
 
 KERNEL = "tests/test_kernel_properties.py::"
+MEMO = "tests/test_letter_memo.py::"
 RECORDS = "tests/test_records.py::"
 
 MUTANTS = [
@@ -149,6 +150,41 @@ MUTANTS = [
             "tests/test_activity.py::test_singular_measure_against_the_fraction_solve_on_drawn_machines",
             "tests/test_activity.py::test_singular_measure_strictly_between",
         ),
+    ),
+    Mutant(
+        "letter memo: the key leaves out the generator names",
+        "treeauto/core.py",
+        "key = (tuple([(name, gens[name]) for name in sorted(gens)]), _SEED_POINTS, _KEY_POINTS)",
+        "key = (tuple([gens[name] for name in sorted(gens)]), _SEED_POINTS, _KEY_POINTS)",
+        (MEMO + "test_the_same_values_under_other_names_get_those_names", MEMO + "test_at_most_16_sets_are_held_the_last_used"),
+    ),
+    Mutant(
+        "letter memo: the key leaves out _SEED_POINTS",
+        "treeauto/core.py",
+        "for name in sorted(gens)]), _SEED_POINTS, _KEY_POINTS)",
+        "for name in sorted(gens)]), _KEY_POINTS)",
+        (MEMO + "test_patched_constants_rebuild_the_tables", KERNEL + "test_keyed_walks_on_every_ball_layer"),
+    ),
+    Mutant(
+        "letter memo: the stored letters handed out, not a copy",
+        "treeauto/core.py",
+        "return list(_letter_set(gens)[0])",
+        "return _letter_set(gens)[0]",
+        (MEMO + "test_a_caller_cannot_change_the_next_result",),
+    ),
+    Mutant(
+        "letter memo: no set ever evicted",
+        "treeauto/core.py",
+        "list(_letter_sets)[:-_LETTER_SETS_HELD]",
+        "list(_letter_sets)[:0]",
+        (MEMO + "test_at_most_16_sets_are_held_the_last_used",),
+    ),
+    Mutant(
+        "letter memo: a hit left where it was, so the oldest insertion is evicted, not the least used",
+        "treeauto/core.py",
+        "entry = _letter_sets.pop(key, None)",
+        "entry = _letter_sets.get(key)",
+        (MEMO + "test_at_most_16_sets_are_held_the_last_used",),
     ),
     Mutant(
         "records: equal across classes, the class check dropped",

@@ -16,6 +16,7 @@ from treeauto.core import (
     evaluate_word,
     identity,
     invert,
+    symmetric_letters,
 )
 from treeauto.freeness import germ_faithfulness_probe, stabilizer_search
 from treeauto.nucleus import (
@@ -489,8 +490,10 @@ def pair_walks(monkeypatch):
     to, once the catalog is built, and every _renumbered read-off once a
     walk has started, in core or in the nucleus module's ball walks: the
     sections and inverses read off to set up the walk's letters are not
-    counted."""
+    counted.  The generator sets' memo starts empty, so the first call on
+    a set is cold and builds its letters' tables."""
     builtin()
+    core._letter_sets.clear()
     calls = {"walks": [], "reads": [], "products": []}
     for name, key in (("_pair_quotient", "walks"), ("_renumbered", "reads"), ("_product", "products")):
 
@@ -512,6 +515,13 @@ def test_ball_takes_one_pair_walk_per_layer(pair_walks):
     # the walk that merges the letters' states (core._right_machine), then one per layer
     assert len(pair_walks["walks"]) == 1 + 4
     # one read-off per new non-identity element: in a free group every child is new
+    assert len(pair_walks["reads"]) == 936
+    assert pair_walks["products"] == []
+    for calls in pair_walks.values():
+        calls.clear()
+    # warm: the letters' right machine comes from the memo, and the layers do not
+    assert ball(gens, 4) == (elements, closed)
+    assert len(pair_walks["walks"]) == 4
     assert len(pair_walks["reads"]) == 936
     assert pair_walks["products"] == []
     for calls in pair_walks.values():
@@ -544,17 +554,38 @@ def test_self_similarity_reads_off_only_what_it_consumed(monkeypatch, pair_walks
     # witness has length 1, so the walk of the first layer serves them all
     assert len(pair_walks["walks"]) == 1 + 1
     assert 0 < len(pair_walks["reads"]) <= len(consumed)
+    for calls in (consumed, *pair_walks.values()):
+        calls.clear()
+    # warm: the right machine comes from the memo, the first layer does not
+    assert is_self_similar(entry("basilica").generators, max_len=4, budget=5) == rep
+    assert len(pair_walks["walks"]) == 1
+    assert 0 < len(pair_walks["reads"]) <= len(consumed)
+
+
+def test_no_query_result_is_memoized(pair_walks):
+    """Only a generator set's tables are shared: a stabilizer at each new
+    ray walks its ball again, one pair walk per layer, with the letters'
+    right machine (one walk) built once."""
+    gens = entry("grigorchuk").generators
+    samples = []
+    for n, point in enumerate((":1", ":0", ":1")):
+        samples.append(stabilizer_search(gens, BoundaryPoint.parse(point), 4))
+        assert len(pair_walks["walks"]) == (n == 0) + 4, point
+        pair_walks["walks"].clear()
+    assert samples[0] == samples[2] != samples[1]
 
 
 def test_germ_group_inverts_each_class_once(monkeypatch, compose_calls):
-    invert = nucleus_module.invert
+    """Counts every inversion once the generators' letters are in the memo."""
+    inverse = Automorphism.inverse
     calls = []
 
-    def counting_invert(g):
+    def counting_inverse(g):
         calls.append(g)
-        return invert(g)
+        return inverse(g)
 
-    monkeypatch.setattr(nucleus_module, "invert", counting_invert)
+    symmetric_letters(entry("grigorchuk").generators)
+    monkeypatch.setattr(Automorphism, "inverse", counting_inverse)
     rep = germ_group(entry("grigorchuk").generators, BoundaryPoint.parse(":1"), max_len=4)
     assert rep.representatives == ("e", "b", "c", "d")
     assert rep.table == ((0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0))
